@@ -4,10 +4,19 @@
 //! single never-taken branch), and with a light mixed NoC plan for scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raccd_core::driver::{run_program_faulty, run_program_with};
-use raccd_core::CoherenceMode;
+use raccd_core::driver::run_program;
+use raccd_core::{CoherenceMode, Driver};
 use raccd_sim::{FaultPlan, MachineConfig};
 use raccd_workloads::{all_benchmarks, Scale};
+
+fn run_faulty(plan: FaultPlan) -> u64 {
+    let w = &all_benchmarks(Scale::Test)[3]; // Jacobi
+    let (cfg, mode) = (MachineConfig::scaled(), CoherenceMode::Raccd);
+    Driver::new(cfg, mode, w.build(), Some(plan), None)
+        .finish(None)
+        .stats
+        .cycles
+}
 
 fn fault_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("fault_overhead");
@@ -16,47 +25,20 @@ fn fault_overhead(c: &mut Criterion) {
     g.bench_function("no_plane", |b| {
         b.iter(|| {
             let w = &all_benchmarks(Scale::Test)[3]; // Jacobi
-            run_program_with(
-                MachineConfig::scaled(),
-                CoherenceMode::Raccd,
-                w.build(),
-                None,
-            )
-            .stats
-            .cycles
+            run_program(MachineConfig::scaled(), CoherenceMode::Raccd, w.build())
+                .stats
+                .cycles
         })
     });
 
     g.bench_function("zero_rate_plane", |b| {
-        b.iter(|| {
-            let w = &all_benchmarks(Scale::Test)[3];
-            run_program_faulty(
-                MachineConfig::scaled(),
-                CoherenceMode::Raccd,
-                w.build(),
-                FaultPlan::default(),
-                None,
-            )
-            .stats
-            .cycles
-        })
+        b.iter(|| run_faulty(FaultPlan::default()))
     });
 
     g.bench_function("light_noc_faults", |b| {
         let plan = FaultPlan::from_spec("seed=42;drop=0.005;corrupt=0.002;delay=0.01:16")
             .expect("valid spec");
-        b.iter(|| {
-            let w = &all_benchmarks(Scale::Test)[3];
-            run_program_faulty(
-                MachineConfig::scaled(),
-                CoherenceMode::Raccd,
-                w.build(),
-                plan,
-                None,
-            )
-            .stats
-            .cycles
-        })
+        b.iter(|| run_faulty(plan))
     });
 
     g.finish();

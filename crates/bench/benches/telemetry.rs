@@ -4,8 +4,8 @@
 //! are a single branch on a niche-optimised `Option<&mut Recorder>`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raccd_core::driver::run_program_with;
-use raccd_core::CoherenceMode;
+use raccd_core::driver::run_program;
+use raccd_core::{CoherenceMode, Driver};
 use raccd_obs::{Recorder, RecorderConfig};
 use raccd_sim::MachineConfig;
 use raccd_workloads::{all_benchmarks, Scale};
@@ -17,14 +17,9 @@ fn telemetry(c: &mut Criterion) {
     g.bench_function("disabled", |b| {
         b.iter(|| {
             let w = &all_benchmarks(Scale::Test)[3]; // Jacobi
-            run_program_with(
-                MachineConfig::scaled(),
-                CoherenceMode::Raccd,
-                w.build(),
-                None,
-            )
-            .stats
-            .cycles
+            run_program(MachineConfig::scaled(), CoherenceMode::Raccd, w.build())
+                .stats
+                .cycles
         })
     });
 
@@ -34,7 +29,8 @@ fn telemetry(c: &mut Criterion) {
             let mut cfg = MachineConfig::scaled();
             cfg.record_events = true;
             let mut rec = Recorder::new(RecorderConfig::default());
-            run_program_with(cfg, CoherenceMode::Raccd, w.build(), Some(&mut rec))
+            Driver::new(cfg, CoherenceMode::Raccd, w.build(), None, Some(&mut rec))
+                .finish(Some(&mut rec))
                 .stats
                 .cycles
         })

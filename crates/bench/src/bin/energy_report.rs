@@ -47,7 +47,6 @@ fn main() {
                 mode,
                 ratio,
                 adr: false,
-                engine: raccd_core::Engine::Serial,
             });
         }
     }

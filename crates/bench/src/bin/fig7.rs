@@ -1,11 +1,9 @@
 //! Figure 7: metrics by directory size — (a) directory accesses,
 //! (b) LLC hit ratio, (c) NoC traffic, (d) directory dynamic energy.
 //!
-//! Usage: `fig7 [--scale ...] [--engine serial|parallel [--threads N]]
-//! [--protocol mesi|mesif|moesi] [--topology mesh|numa2]
-//! [accesses|llc|noc|energy]` — with no metric argument all four sections
-//! print. The engine only changes how simulations are advanced; the
-//! figures are bit-identical either way. `--protocol`/`--topology` select
+//! Usage: `fig7 [--scale ...] [--protocol mesi|mesif|moesi]
+//! [--topology mesh|numa2] [accesses|llc|noc|energy]` — with no metric
+//! argument all four sections print. `--protocol`/`--topology` select
 //! the coherence-protocol variant and NoC shape, so the same sweep runs
 //! over {MESI, MESIF, MOESI} × {mesh, numa2}.
 //!
@@ -14,9 +12,7 @@
 //! RaCCD holds 51 %; NoC traffic grows 91 % for FullCoh at 1:256 vs 15 %
 //! for RaCCD; RaCCD's directory dynamic energy is 71–80 % below FullCoh.
 
-use raccd_bench::{
-    bench_names, config_from_args, engine_from_args, mean, run_matrix_engine, scale_from_args,
-};
+use raccd_bench::{bench_names, config_from_args, mean, run_matrix, scale_from_args};
 use raccd_core::CoherenceMode;
 use raccd_energy::EnergyModel;
 use raccd_sim::{Stats, DIR_RATIOS};
@@ -52,15 +48,7 @@ fn main() {
 
     let modes: Vec<(CoherenceMode, bool)> =
         CoherenceMode::ALL.iter().map(|&m| (m, false)).collect();
-    let results = run_matrix_engine(
-        "fig7",
-        scale,
-        cfg,
-        names.len(),
-        &modes,
-        &DIR_RATIOS,
-        engine_from_args(&args),
-    );
+    let results = run_matrix("fig7", scale, cfg, names.len(), &modes, &DIR_RATIOS);
 
     let mut by_key: HashMap<(usize, CoherenceMode, usize), &Stats> = HashMap::new();
     for r in &results {

@@ -1,21 +1,16 @@
 //! `perf` — the simulator's own performance benchmark and trajectory gate.
 //!
 //! Runs a pinned matrix (3 workloads × {RaCCD, FullCoh} × {plain,
-//! profiled, epoch-parallel ×4}, fixed machine config), takes the median
-//! of `--reps` repetitions per job, and emits a versioned `BENCH_7.json`
-//! trajectory point: throughput metrics (simulated cycles/sec, refs/sec,
-//! protocol events/sec), the merged profiler span table, a snapshot-codec
-//! microbench (encode/decode bytes/sec), the measured profiler overhead,
-//! and a fig7-sweep engine-speedup pair (`fig7-sweep/serial` vs
-//! `fig7-sweep/par4`, the whole figure-7 matrix advanced in-process under
-//! each engine so the ratio isolates the engine itself from job-level
-//! parallelism).
+//! profiled}, fixed machine config), takes the median of `--reps`
+//! repetitions per job, and emits a versioned `BENCH_7.json` trajectory
+//! point: throughput metrics (simulated cycles/sec, refs/sec, protocol
+//! events/sec), the merged profiler span table, a snapshot-codec
+//! microbench (encode/decode bytes/sec) and the measured profiler
+//! overhead.
 //!
-//! Along the way the matrix double-checks two cardinal rules: every
-//! profiled run must produce `Stats` bit-identical to its unprofiled twin
-//! (the profiler reads only host clocks), and every epoch-parallel run —
-//! matrix jobs and every fig7-sweep cell — must produce `Stats`
-//! bit-identical to the serial oracle.
+//! Along the way the matrix double-checks a cardinal rule: every profiled
+//! run must produce `Stats` bit-identical to its unprofiled twin (the
+//! profiler reads only host clocks).
 //!
 //! ```text
 //! perf [--scale test|bench|paper] [--reps N] [--out BENCH_7.json]
@@ -34,10 +29,10 @@
 use raccd_bench::perfjson::{
     compare, git_rev, host_fingerprint, BenchDoc, PerfJob, SCHEMA_VERSION,
 };
-use raccd_core::{CoherenceMode, Driver, Engine, Experiment, RunResult};
+use raccd_core::{CoherenceMode, Driver, Experiment, RunResult};
 use raccd_obs::{render_metrics_table, RunMetrics};
 use raccd_prof::ProfReport;
-use raccd_sim::{MachineConfig, Stats, DIR_RATIOS};
+use raccd_sim::MachineConfig;
 use raccd_snap::Snapshot;
 use raccd_workloads::{all_benchmarks, Scale};
 use std::time::Instant;
@@ -51,10 +46,6 @@ const MODES: [(CoherenceMode, &str); 2] = [
     (CoherenceMode::Raccd, "raccd"),
     (CoherenceMode::FullCoh, "fullcoh"),
 ];
-
-/// Pinned epoch-parallel configuration for the `par4` jobs and the
-/// fig7-sweep speedup pair. Four workers matches the fig7 sweep in CI.
-const PAR4: Engine = Engine::EpochParallel { threads: 4 };
 
 fn main() {
     std::process::exit(match run() {
@@ -92,12 +83,8 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--scale" => {
-                a.scale = match value(&argv, i, "--scale")?.as_str() {
-                    "test" => Scale::Test,
-                    "bench" => Scale::Bench,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
+                let v = value(&argv, i, "--scale")?;
+                a.scale = Scale::parse(&v).ok_or(format!("unknown scale {v:?}"))?;
                 i += 2;
             }
             "--reps" => {
@@ -203,11 +190,10 @@ fn run_once(
     bench_idx: usize,
     mode: CoherenceMode,
     profiled: bool,
-    engine: Engine,
 ) -> (f64, RunResult) {
     let workloads = all_benchmarks(scale);
     let w = workloads[bench_idx].as_ref();
-    let exp = Experiment::new(cfg, mode).with_engine(engine);
+    let exp = Experiment::new(cfg, mode);
     let t0 = Instant::now();
     let result = if profiled {
         exp.run_profiled(w)
@@ -228,7 +214,7 @@ fn run_matrix(scale: Scale, reps: usize) -> Result<BenchDoc, String> {
             .collect()
     };
     eprintln!(
-        "perf: matrix {} workloads x {} modes x {{plain, prof, par4}}, {} rep(s), scale {scale_name}",
+        "perf: matrix {} workloads x {} modes x {{plain, prof}}, {} rep(s), scale {scale_name}",
         WORKLOADS.len(),
         MODES.len(),
         reps
@@ -242,19 +228,15 @@ fn run_matrix(scale: Scale, reps: usize) -> Result<BenchDoc, String> {
         for (mode, mode_name) in MODES {
             let mut plain: Vec<(f64, RunResult)> = Vec::new();
             let mut prof: Vec<(f64, RunResult)> = Vec::new();
-            let mut par: Vec<(f64, RunResult)> = Vec::new();
             for _ in 0..reps {
-                plain.push(run_once(scale, cfg, bench_idx, mode, false, Engine::Serial));
+                plain.push(run_once(scale, cfg, bench_idx, mode, false));
             }
             for _ in 0..reps {
-                prof.push(run_once(scale, cfg, bench_idx, mode, true, Engine::Serial));
-            }
-            for _ in 0..reps {
-                par.push(run_once(scale, cfg, bench_idx, mode, false, PAR4));
+                prof.push(run_once(scale, cfg, bench_idx, mode, true));
             }
 
-            // Determinism gate: every rep — profiled, epoch-parallel or
-            // not — must agree on the simulated outcome bit for bit.
+            // Determinism gate: every rep — profiled or not — must agree
+            // on the simulated outcome bit for bit.
             let reference = &plain[0].1;
             if !reference.verified {
                 return Err(format!(
@@ -271,19 +253,9 @@ fn run_matrix(scale: Scale, reps: usize) -> Result<BenchDoc, String> {
                     ));
                 }
             }
-            for (_, r) in &par {
-                if r.stats != reference.stats {
-                    return Err(format!(
-                        "{}/{mode_name}: epoch-parallel Stats diverged from the \
-                         serial oracle (engine must be bit-identical)",
-                        names[wi]
-                    ));
-                }
-            }
 
             let plain_med = median_rep(&plain);
             let prof_med = median_rep(&prof);
-            let par_med = median_rep(&par);
             overhead_pcts.push((prof_med.0 - plain_med.0) / plain_med.0 * 100.0);
 
             let base_name = format!("{}/{mode_name}", names[wi]);
@@ -298,25 +270,14 @@ fn run_matrix(scale: Scale, reps: usize) -> Result<BenchDoc, String> {
                 reps,
                 prof_med,
             ));
-            jobs.push(make_job(
-                &format!("{base_name}/{}", PAR4.label()),
-                &names[wi],
-                mode_name,
-                false,
-                reps,
-                par_med,
-            ));
             for (_, r) in &prof {
                 if let Some(p) = &r.prof {
                     spans.merge(p);
                 }
             }
             eprintln!(
-                "perf: {base_name:<16} wall {:.3}s plain / {:.3}s profiled / {:.3}s {}",
-                plain_med.0,
-                prof_med.0,
-                par_med.0,
-                PAR4.label(),
+                "perf: {base_name:<16} wall {:.3}s plain / {:.3}s profiled",
+                plain_med.0, prof_med.0,
             );
         }
     }
@@ -324,8 +285,6 @@ fn run_matrix(scale: Scale, reps: usize) -> Result<BenchDoc, String> {
     let (snap_job, snap_spans) = snapshot_microbench(scale, cfg)?;
     jobs.push(snap_job);
     spans.merge(&snap_spans);
-
-    jobs.extend(fig7_sweep(scale, cfg, reps)?);
 
     let (host, ncpu) = host_fingerprint();
     Ok(BenchDoc {
@@ -438,96 +397,6 @@ fn snapshot_microbench(scale: Scale, cfg: MachineConfig) -> Result<(PerfJob, Pro
         },
         spans,
     ))
-}
-
-/// Engine-speedup measurement: advance the whole figure-7 matrix
-/// (workloads × modes × directory ratios) **sequentially in-process**
-/// under the serial engine and again under the epoch-parallel engine, so
-/// the wall-clock ratio isolates the engine's intra-simulation speedup
-/// from the job-level fan-out the figure binaries use. Every cell's
-/// `Stats` must match bit for bit across engines; the medians over `reps`
-/// become the `fig7-sweep/serial` and `fig7-sweep/par4` trajectory jobs.
-fn fig7_sweep(scale: Scale, cfg: MachineConfig, reps: usize) -> Result<Vec<PerfJob>, String> {
-    let cells = WORKLOADS.len() * MODES.len() * DIR_RATIOS.len();
-    eprintln!(
-        "perf: fig7-sweep {} cells x {{serial, {}}}, {} rep(s)",
-        cells,
-        PAR4.label(),
-        reps
-    );
-
-    // One pass over every cell under `engine`; returns (wall, per-cell Stats).
-    let sweep = |engine: Engine| -> (f64, Vec<Stats>) {
-        let workloads = all_benchmarks(scale);
-        let t0 = Instant::now();
-        let mut stats = Vec::with_capacity(cells);
-        for &bench_idx in &WORKLOADS {
-            for (mode, _) in MODES {
-                for &ratio in &DIR_RATIOS {
-                    let exp = Experiment::new(cfg.with_dir_ratio(ratio), mode).with_engine(engine);
-                    stats.push(exp.run(workloads[bench_idx].as_ref()).stats);
-                }
-            }
-        }
-        (t0.elapsed().as_secs_f64(), stats)
-    };
-
-    let mut serial: Vec<(f64, Vec<Stats>)> = Vec::new();
-    let mut par: Vec<(f64, Vec<Stats>)> = Vec::new();
-    for _ in 0..reps {
-        serial.push(sweep(Engine::Serial));
-        par.push(sweep(PAR4));
-    }
-    for (rep, (s, p)) in serial.iter().zip(par.iter()).enumerate() {
-        for (cell, (ss, ps)) in s.1.iter().zip(p.1.iter()).enumerate() {
-            if ss != ps {
-                return Err(format!(
-                    "fig7-sweep rep {rep} cell {cell}: epoch-parallel Stats \
-                     diverged from the serial oracle"
-                ));
-            }
-        }
-        if rep > 0 && s.1 != serial[0].1 {
-            return Err(format!(
-                "fig7-sweep rep {rep}: non-deterministic serial Stats across reps"
-            ));
-        }
-    }
-
-    let median_wall = |walls: &mut Vec<f64>| -> f64 {
-        walls.sort_by(f64::total_cmp);
-        walls[walls.len() / 2]
-    };
-    let serial_wall = median_wall(&mut serial.iter().map(|r| r.0).collect());
-    let par_wall = median_wall(&mut par.iter().map(|r| r.0).collect());
-    eprintln!(
-        "perf: fig7-sweep       wall {serial_wall:.3}s serial / {par_wall:.3}s {} \
-         (engine speedup {:.2}x)",
-        PAR4.label(),
-        serial_wall / par_wall.max(1e-12),
-    );
-
-    // Whole-sweep throughput metrics: counters sum across cells, the wall
-    // is the sweep's, so cycles/sec measures the engine end to end.
-    let mut sum = Stats::default();
-    for s in &serial[0].1 {
-        sum.cycles += s.cycles;
-        sum.refs_processed += s.refs_processed;
-        sum.noc_traffic += s.noc_traffic;
-        sum.tasks_executed += s.tasks_executed;
-    }
-    let job = |engine: Engine, wall: f64| -> PerfJob {
-        let name = format!("fig7-sweep/{}", engine.label());
-        PerfJob {
-            name: name.clone(),
-            workload: "fig7-sweep".to_string(),
-            mode: "all".to_string(),
-            profiled: false,
-            reps: reps as u64,
-            metrics: RunMetrics::from_stats(&name, &sum, wall),
-        }
-    };
-    Ok(vec![job(Engine::Serial, serial_wall), job(PAR4, par_wall)])
 }
 
 fn mean(v: &[f64]) -> f64 {

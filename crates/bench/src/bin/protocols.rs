@@ -7,17 +7,15 @@
 //! document is `perf --compare`-compatible, so CI soft-gates it exactly
 //! like `BENCH_7.json`/`BENCH_8.json`.
 //!
-//! Every cell is also a correctness gate: each rep runs once under the
-//! serial oracle and once under the epoch-parallel engine (4 workers),
-//! and the two must produce bit-identical `Stats` — the engine never
-//! changes simulated outcomes, whichever protocol or topology is live.
+//! Every cell is also a correctness gate: each workload must verify, and
+//! every rep must reproduce the first rep's `Stats` bit for bit.
 //!
 //! ```text
 //! protocols [--scale test|bench|paper] [--reps N] [--out BENCH_9.json]
 //! ```
 
 use raccd_bench::perfjson::{git_rev, host_fingerprint, BenchDoc, PerfJob, SCHEMA_VERSION};
-use raccd_core::{CoherenceMode, Engine, Experiment};
+use raccd_core::{CoherenceMode, Experiment};
 use raccd_obs::RunMetrics;
 use raccd_prof::ProfReport;
 use raccd_sim::{MachineConfig, ProtocolKind, Stats, Topology};
@@ -28,9 +26,6 @@ use std::time::Instant;
 /// stencil with real sharing, MD5 — a streaming kernel).
 const WORKLOADS: [usize; 2] = [3, 7];
 
-/// Epoch-parallel twin used by the per-cell bit-identity gate.
-const PAR4: Engine = Engine::EpochParallel { threads: 4 };
-
 fn main() {
     std::process::exit(match run() {
         Ok(()) => 0,
@@ -39,15 +34,6 @@ fn main() {
             2
         }
     });
-}
-
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "test" => Ok(Scale::Test),
-        "bench" => Ok(Scale::Bench),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!("unknown scale {other:?}")),
-    }
 }
 
 fn run() -> Result<(), String> {
@@ -63,7 +49,10 @@ fn run() -> Result<(), String> {
                 .ok_or(format!("{flag} needs a value"))
         };
         match argv[i].as_str() {
-            "--scale" => scale = parse_scale(&value(i, "--scale")?)?,
+            "--scale" => {
+                let v = value(i, "--scale")?;
+                scale = Scale::parse(&v).ok_or(format!("unknown scale {v:?}"))?;
+            }
             "--reps" => {
                 reps = value(i, "--reps")?
                     .parse()
@@ -111,9 +100,7 @@ fn run() -> Result<(), String> {
 }
 
 /// One protocol × topology cell: every pinned workload under RaCCD, stats
-/// summed, wall summed; the median rep becomes the trajectory job. Each
-/// rep asserts the epoch-parallel engine reproduces the serial oracle's
-/// `Stats` bit for bit under this protocol/topology.
+/// summed, wall summed; the median rep becomes the trajectory job.
 fn run_cell(
     scale: Scale,
     protocol: ProtocolKind,
@@ -132,30 +119,18 @@ fn run_cell(
         let t0 = Instant::now();
         for &bench_idx in &WORKLOADS {
             let w = workloads[bench_idx].as_ref();
-            let serial = Experiment::new(cfg, CoherenceMode::Raccd)
-                .with_engine(Engine::Serial)
-                .run(w);
-            if !serial.verified {
+            let run = Experiment::new(cfg, CoherenceMode::Raccd).run(w);
+            if !run.verified {
                 return Err(format!(
                     "{name}/{}: verification failed: {:?}",
                     w.name(),
-                    serial.verify_error
+                    run.verify_error
                 ));
             }
-            let par = Experiment::new(cfg, CoherenceMode::Raccd)
-                .with_engine(PAR4)
-                .run(w);
-            if par.stats != serial.stats {
-                return Err(format!(
-                    "{name}/{}: epoch-parallel Stats diverged from the serial \
-                     oracle (engine must be bit-identical per protocol)",
-                    w.name()
-                ));
-            }
-            sum.cycles += serial.stats.cycles;
-            sum.refs_processed += serial.stats.refs_processed;
-            sum.noc_traffic += serial.stats.noc_traffic;
-            sum.tasks_executed += serial.stats.tasks_executed;
+            sum.cycles += run.stats.cycles;
+            sum.refs_processed += run.stats.refs_processed;
+            sum.noc_traffic += run.stats.noc_traffic;
+            sum.tasks_executed += run.stats.tasks_executed;
         }
         rep_results.push((t0.elapsed().as_secs_f64(), sum));
     }

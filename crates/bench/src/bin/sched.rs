@@ -6,12 +6,9 @@
 //! RaCCD win table. The document is `perf --compare`-compatible, so CI
 //! soft-gates it exactly like `BENCH_6.json`–`BENCH_9.json`.
 //!
-//! Every cell is also a correctness gate: each rep runs once under the
-//! serial oracle and once under the epoch-parallel engine (4 workers),
-//! and the two must produce bit-identical `Stats` — scheduling decisions
-//! (including quantum preemptions) happen on the serial commit path, so
-//! the engine can never change them. On top of that the run asserts the
-//! paper's locality claim end to end: the `locality` policy must migrate
+//! Every cell is also a correctness gate: each workload must verify, and
+//! every rep must reproduce the first rep's `Stats` bit for bit. On top
+//! of that the run asserts the paper's locality claim end to end: the `locality` policy must migrate
 //! fewer tasks (and hand off fewer NCRTs under RaCCD) than the central
 //! `fifo` queue on at least one pinned workload.
 //!
@@ -20,7 +17,7 @@
 //! ```
 
 use raccd_bench::perfjson::{git_rev, host_fingerprint, BenchDoc, PerfJob, SCHEMA_VERSION};
-use raccd_core::{CoherenceMode, Engine, Experiment};
+use raccd_core::{CoherenceMode, Experiment};
 use raccd_obs::RunMetrics;
 use raccd_prof::ProfReport;
 use raccd_sim::{MachineConfig, SchedKind, Stats};
@@ -32,9 +29,6 @@ use std::time::Instant;
 /// kernel of independent chains).
 const WORKLOADS: [usize; 2] = [3, 7];
 
-/// Epoch-parallel twin used by the per-cell bit-identity gate.
-const PAR4: Engine = Engine::EpochParallel { threads: 4 };
-
 fn main() {
     std::process::exit(match run() {
         Ok(()) => 0,
@@ -43,15 +37,6 @@ fn main() {
             2
         }
     });
-}
-
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "test" => Ok(Scale::Test),
-        "bench" => Ok(Scale::Bench),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!("unknown scale {other:?}")),
-    }
 }
 
 /// Per-workload migration/hand-off counts of one (policy, mode) cell,
@@ -75,7 +60,10 @@ fn run() -> Result<(), String> {
                 .ok_or(format!("{flag} needs a value"))
         };
         match argv[i].as_str() {
-            "--scale" => scale = parse_scale(&value(i, "--scale")?)?,
+            "--scale" => {
+                let v = value(i, "--scale")?;
+                scale = Scale::parse(&v).ok_or(format!("unknown scale {v:?}"))?;
+            }
             "--reps" => {
                 reps = value(i, "--reps")?
                     .parse()
@@ -171,9 +159,7 @@ fn run() -> Result<(), String> {
 }
 
 /// One policy × mode cell: every pinned workload, stats summed, wall
-/// summed; the median rep becomes the trajectory job. Each rep asserts
-/// the epoch-parallel engine reproduces the serial oracle's `Stats` bit
-/// for bit under this policy.
+/// summed; the median rep becomes the trajectory job.
 fn run_cell(
     scale: Scale,
     sched: SchedKind,
@@ -199,33 +185,23 @@ fn run_cell(
         let t0 = Instant::now();
         for &bench_idx in &WORKLOADS {
             let w = workloads[bench_idx].as_ref();
-            let serial = Experiment::new(cfg, mode)
-                .with_engine(Engine::Serial)
-                .run(w);
-            if !serial.verified {
+            let run = Experiment::new(cfg, mode).run(w);
+            if !run.verified {
                 return Err(format!(
                     "{name}/{}: verification failed: {:?}",
                     w.name(),
-                    serial.verify_error
-                ));
-            }
-            let par = Experiment::new(cfg, mode).with_engine(PAR4).run(w);
-            if par.stats != serial.stats {
-                return Err(format!(
-                    "{name}/{}: epoch-parallel Stats diverged from the serial \
-                     oracle (engine must be bit-identical per policy)",
-                    w.name()
+                    run.verify_error
                 ));
             }
             if rep == 0 {
-                churn.task_migrations.push(serial.stats.task_migrations);
-                churn.ncrt_migrations.push(serial.stats.ncrt_migrations);
-                churn.preemptions += serial.stats.preemptions;
+                churn.task_migrations.push(run.stats.task_migrations);
+                churn.ncrt_migrations.push(run.stats.ncrt_migrations);
+                churn.preemptions += run.stats.preemptions;
             }
-            sum.cycles += serial.stats.cycles;
-            sum.refs_processed += serial.stats.refs_processed;
-            sum.noc_traffic += serial.stats.noc_traffic;
-            sum.tasks_executed += serial.stats.tasks_executed;
+            sum.cycles += run.stats.cycles;
+            sum.refs_processed += run.stats.refs_processed;
+            sum.noc_traffic += run.stats.noc_traffic;
+            sum.tasks_executed += run.stats.tasks_executed;
         }
         rep_results.push((t0.elapsed().as_secs_f64(), sum));
     }

@@ -6,8 +6,7 @@
 //!     [--scale test|bench|paper] [--bench Jacobi,...] [--ratios 1,8,256] \
 //!     [--modes FullCoh,PT,TLB,RaCCD] [--adr] [--smt N] [--wt] \
 //!     [--protocol mesi|mesif|moesi] [--topology mesh|numa2] \
-//!     [--contention] [--permuted] [--steal] [--telemetry out/] \
-//!     [--engine serial|parallel [--threads N]]
+//!     [--contention] [--permuted] [--steal] [--telemetry out/]
 //! ```
 //!
 //! With `--telemetry <dir>` every job additionally runs with a recorder and
@@ -15,7 +14,7 @@
 //! histogram report) into a per-job subdirectory of `dir`.
 
 use raccd_bench::{
-    bench_names, config_from_args, engine_from_args, run_jobs_with_telemetry, scale_from_args,
+    bench_names, config_from_args, run_jobs_with_telemetry, scale_from_args,
     telemetry_dir_from_args, Job,
 };
 use raccd_core::CoherenceMode;
@@ -81,7 +80,6 @@ fn main() {
         base_cfg.sched = raccd_sim::SchedKind::Steal;
     }
 
-    let engine = engine_from_args(&args);
     let mut jobs = Vec::new();
     for &b in &bench_sel {
         for &mode in &modes {
@@ -91,7 +89,6 @@ fn main() {
                     mode,
                     ratio,
                     adr,
-                    engine,
                 });
             }
         }

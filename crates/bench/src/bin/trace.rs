@@ -6,8 +6,7 @@
 //!     [--scale test|bench] [--bench Jacobi] [--mode RaCCD] [--head 20] \
 //!     [--protocol mesi|mesif|moesi] [--topology mesh|numa2] \
 //!     [--interval 4096] [--telemetry out/] [--profile] \
-//!     [--snapshot file.rsnp [--snapshot-at CYCLE]] [--restore file.rsnp] \
-//!     [--engine serial|parallel [--threads N]]
+//!     [--snapshot file.rsnp [--snapshot-at CYCLE]] [--restore file.rsnp]
 //! ```
 //!
 //! With `--telemetry <dir>` the run writes `trace.json` (Chrome Trace
@@ -27,8 +26,7 @@
 //! run (telemetry covers only the resumed half).
 
 use raccd_bench::{
-    bench_names, config_from_args, engine_from_args, scale_from_args, telemetry_dir_from_args,
-    write_telemetry,
+    bench_names, config_from_args, scale_from_args, telemetry_dir_from_args, write_telemetry,
 };
 use raccd_core::{CoherenceMode, Driver};
 use raccd_obs::{event_json, json, Recorder, RecorderConfig};
@@ -73,7 +71,6 @@ fn main() {
         .unwrap_or(10_000);
     let restore_path = pick("--restore");
     let profile = args.iter().any(|a| a == "--profile");
-    let engine = engine_from_args(&args);
 
     let workloads = raccd_workloads::all_benchmarks(scale);
     let program = workloads[bench_idx].build();
@@ -102,7 +99,7 @@ fn main() {
             driver.completed_tasks(),
             driver.next_time().unwrap_or(0)
         );
-        driver.finish_engine(engine, Some(&mut rec))
+        driver.finish(Some(&mut rec))
     } else {
         let mut driver = Driver::new(cfg, mode, program, None, Some(&mut rec));
         if profile {
@@ -119,7 +116,7 @@ fn main() {
                 snap.content_hash()
             );
         }
-        driver.finish_engine(engine, Some(&mut rec))
+        driver.finish(Some(&mut rec))
     };
     let wall = t0.elapsed().as_secs_f64();
 

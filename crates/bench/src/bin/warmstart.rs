@@ -6,8 +6,7 @@
 //! ```text
 //! cargo run --release -p raccd-bench --bin warmstart -- \
 //!     [--scale test|bench] [--bench Jacobi,...] [--mode RaCCD] \
-//!     [--warmup 20000] [--seeds 8] [--spec "drop=2e-4,..."] [--cold] \
-//!     [--engine serial|parallel [--threads N]]
+//!     [--warmup 20000] [--seeds 8] [--spec "drop=2e-4,..."] [--cold]
 //! ```
 //!
 //! Each seed's run is *identical* to a cold run that simulates the warm-up
@@ -16,9 +15,9 @@
 //! matches exactly (cycles, fault counters, detection), and reports the
 //! wall-clock for both paths.
 
-use raccd_bench::{bench_names, config_for_scale, engine_from_args, scale_from_args, tsv_row};
+use raccd_bench::{bench_names, config_for_scale, scale_from_args, tsv_row};
 use raccd_campaign::{PoolTask, WorkerPool};
-use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine};
+use raccd_core::{CoherenceMode, Driver, DriverOutput};
 use raccd_fault::FaultPlan;
 use raccd_runtime::Program;
 use raccd_workloads::all_benchmarks;
@@ -50,9 +49,9 @@ fn cell(out: &DriverOutput) -> Cell {
 /// warm-up boundary, then run to the end. Both the warm path (restored
 /// driver) and the cold path (freshly simulated warm-up) go through this,
 /// which is what makes them comparable run-for-run.
-fn finish_seeded(mut driver: Driver, seed: u64, engine: Engine) -> DriverOutput {
+fn finish_seeded(mut driver: Driver, seed: u64) -> DriverOutput {
     driver.reseed_faults(seed);
-    driver.finish_engine(engine, None)
+    driver.finish(None)
 }
 
 fn main() {
@@ -99,7 +98,6 @@ fn main() {
         },
     };
     let cfg = config_for_scale(scale);
-    let engine = engine_from_args(&args);
 
     println!("benchmark\tseed\tcycles\ttasks\tinjected\tmsg_retries\tdetected");
     let mut warm_secs = 0.0f64;
@@ -155,7 +153,7 @@ fn main() {
                             Driver::restore(cfg, mode, all_benchmarks(scale)[b].build(), &snap)
                                 .expect("restoring shared warm-up checkpoint");
                         *slots[i as usize].lock().unwrap() =
-                            Some(cell(&finish_seeded(driver, seed, engine)));
+                            Some(cell(&finish_seeded(driver, seed)));
                     }),
                 }
             })
@@ -190,9 +188,7 @@ fn main() {
             for (i, warm_cell) in results.iter().enumerate() {
                 let mut driver = Driver::new(cfg, mode, make_program(), Some(plan), None);
                 driver.run_until(warmup, None);
-                // The cold baseline always finishes serially, so `--cold
-                // --engine parallel` doubles as a differential check.
-                let c = cell(&finish_seeded(driver, i as u64 + 1, Engine::Serial));
+                let c = cell(&finish_seeded(driver, i as u64 + 1));
                 assert_eq!(c.cycles, warm_cell.cycles, "{} seed {}", names[b], i + 1);
                 assert_eq!(
                     c.injected,

@@ -15,7 +15,7 @@ pub mod chart;
 pub mod perfjson;
 
 use raccd_campaign::{PoolTask, WorkerPool};
-use raccd_core::{CoherenceMode, Engine, Experiment, RunResult};
+use raccd_core::{CoherenceMode, Experiment, RunResult};
 use raccd_obs::{Recorder, RecorderConfig, RunMetrics};
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_workloads::{all_benchmarks, Scale};
@@ -33,8 +33,6 @@ pub struct Job {
     pub ratio: usize,
     /// Enable Adaptive Directory Reduction.
     pub adr: bool,
-    /// Simulation engine (serial oracle or epoch-parallel).
-    pub engine: Engine,
 }
 
 /// A completed simulation.
@@ -93,12 +91,11 @@ pub fn run_jobs_with_telemetry(
             let slots = Arc::clone(&slots);
             let telemetry = telemetry.clone();
             let label = format!(
-                "{} [{} 1:{}{} {}]",
+                "{} [{} 1:{}{}]",
                 names[job.bench_idx],
                 job.mode,
                 job.ratio,
                 if job.adr { " adr" } else { "" },
-                job.engine,
             );
             PoolTask {
                 label,
@@ -144,16 +141,14 @@ fn run_one_job(
     let workloads = all_benchmarks(scale);
     let w = &workloads[job.bench_idx];
     let mut cfg = base_cfg.with_dir_ratio(job.ratio).with_adr(job.adr);
-    let exp = Experiment::new(cfg, job.mode).with_engine(job.engine);
     let t0 = std::time::Instant::now();
     let result = match telemetry {
-        None => exp.run(w.as_ref()),
+        None => Experiment::new(cfg, job.mode).run(w.as_ref()),
         Some(dir) => {
             cfg.record_events = true;
             let mut rec = Recorder::new(RecorderConfig::default());
-            let result = Experiment::new(cfg, job.mode)
-                .with_engine(job.engine)
-                .run_with_recorder(w.as_ref(), Some(&mut rec));
+            let result =
+                Experiment::new(cfg, job.mode).run_with_recorder(w.as_ref(), Some(&mut rec));
             let sub = dir.join(telemetry_run_name(w.name(), job));
             write_telemetry(&rec, &sub)
                 .unwrap_or_else(|e| panic!("writing telemetry to {}: {e}", sub.display()));
@@ -190,22 +185,6 @@ pub fn run_matrix(
     modes: &[(CoherenceMode, bool)],
     ratios: &[usize],
 ) -> Vec<JobResult> {
-    run_matrix_engine(tag, scale, base_cfg, nbench, modes, ratios, Engine::Serial)
-}
-
-/// [`run_matrix`] under a selectable engine (`--engine parallel --threads
-/// N` on the figure binaries). Results are bit-identical across engines —
-/// the parallel engine only changes how each simulation is advanced.
-#[allow(clippy::too_many_arguments)]
-pub fn run_matrix_engine(
-    tag: &str,
-    scale: Scale,
-    base_cfg: MachineConfig,
-    nbench: usize,
-    modes: &[(CoherenceMode, bool)],
-    ratios: &[usize],
-    engine: Engine,
-) -> Vec<JobResult> {
     let mut jobs = Vec::with_capacity(nbench * modes.len() * ratios.len());
     for b in 0..nbench {
         for &(mode, adr) in modes {
@@ -215,13 +194,12 @@ pub fn run_matrix_engine(
                     mode,
                     ratio,
                     adr,
-                    engine,
                 });
             }
         }
     }
     eprintln!(
-        "{tag}: running {} simulations at scale {scale} ({engine} engine, {} protocol, {} topology)...",
+        "{tag}: running {} simulations at scale {scale} ({} protocol, {} topology)...",
         jobs.len(),
         base_cfg.protocol.label(),
         base_cfg.topology.label(),
@@ -265,10 +243,8 @@ pub fn matrix_metrics(tag: &str, results: &[JobResult], wall_seconds: f64) -> Ru
 }
 
 /// Deterministic FNV-1a checksum over a job batch's protocol-visible
-/// counters, folded in job order. The engine never changes simulated
-/// outcomes, so this value is identical for every `--engine`/`--threads`
-/// combination — the thread-count regression test pins the serial value
-/// as a golden and asserts every parallel sweep reproduces it.
+/// counters, folded in job order. The fig7 golden test pins its value for
+/// the test-scale Figure 7 sweep.
 pub fn sweep_checksum(results: &[JobResult]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |v: u64| {
@@ -347,42 +323,43 @@ pub fn write_telemetry(rec: &Recorder, dir: &Path) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Parse `--engine serial|parallel` and `--threads N` from argv (default:
-/// serial). `--threads` without `--engine` implies the parallel engine.
-pub fn engine_from_args(args: &[String]) -> Engine {
-    let pick = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
+/// The value following `flag` in argv, parsed by `parse`; `default` when
+/// the flag is absent. A missing or unknown value is an error naming the
+/// accepted `choices`.
+fn flag<T>(
+    args: &[String],
+    flag: &str,
+    choices: &str,
+    default: T,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
     };
-    let threads: usize = pick("--threads")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--threads: bad count `{v}`"))
-        })
-        .unwrap_or(4);
-    match pick("--engine").map(String::as_str) {
-        Some(name) => Engine::parse(name, threads)
-            .unwrap_or_else(|| panic!("--engine: unknown engine `{name}` (serial|parallel)")),
-        None if pick("--threads").is_some() => Engine::EpochParallel {
-            threads: threads.max(1),
-        },
-        None => Engine::Serial,
-    }
+    let val = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag}: missing value ({choices})"))?;
+    parse(val).ok_or_else(|| format!("{flag}: unknown value `{val}` ({choices})"))
+}
+
+/// Unwrap a CLI parse result, or print the error on stderr and exit with
+/// status 2 (bad usage).
+fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Parse `--scale test|bench|paper` from argv (default: bench).
 pub fn scale_from_args(args: &[String]) -> Scale {
-    match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-    {
-        Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        _ => Scale::Bench,
-    }
+    or_exit(flag(
+        args,
+        "--scale",
+        "test|bench|paper",
+        Scale::Bench,
+        Scale::parse,
+    ))
 }
 
 /// Machine preset matching a scale: `paper` scale → Table I machine,
@@ -396,43 +373,36 @@ pub fn config_for_scale(scale: Scale) -> MachineConfig {
 
 /// Parse `--protocol mesi|mesif|moesi` from argv (default: mesi).
 pub fn protocol_from_args(args: &[String]) -> ProtocolKind {
-    match args
-        .iter()
-        .position(|a| a == "--protocol")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(name) => ProtocolKind::parse(name)
-            .unwrap_or_else(|| panic!("--protocol: unknown protocol `{name}` (mesi|mesif|moesi)")),
-        None => ProtocolKind::Mesi,
-    }
+    or_exit(flag(
+        args,
+        "--protocol",
+        "mesi|mesif|moesi",
+        ProtocolKind::Mesi,
+        ProtocolKind::parse,
+    ))
 }
 
 /// Parse `--topology mesh|numa2` from argv (default: mesh).
 pub fn topology_from_args(args: &[String]) -> Topology {
-    match args
-        .iter()
-        .position(|a| a == "--topology")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(name) => Topology::parse(name)
-            .unwrap_or_else(|| panic!("--topology: unknown topology `{name}` (mesh|numa2)")),
-        None => Topology::Mesh,
-    }
+    or_exit(flag(
+        args,
+        "--topology",
+        "mesh|numa2",
+        Topology::Mesh,
+        Topology::parse,
+    ))
 }
 
 /// Parse `--sched fifo|steal|priority|locality|quantum` from argv
 /// (default: fifo, the paper's central ready queue).
 pub fn sched_from_args(args: &[String]) -> SchedKind {
-    match args
-        .iter()
-        .position(|a| a == "--sched")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(name) => SchedKind::parse(name).unwrap_or_else(|| {
-            panic!("--sched: unknown policy `{name}` (fifo|steal|priority|locality|quantum)")
-        }),
-        None => SchedKind::Fifo,
-    }
+    or_exit(flag(
+        args,
+        "--sched",
+        "fifo|steal|priority|locality|quantum",
+        SchedKind::Fifo,
+        SchedKind::parse,
+    ))
 }
 
 /// [`config_for_scale`] plus the `--protocol`/`--topology`/`--sched` CLI
@@ -488,21 +458,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_parsing() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(engine_from_args(&args(&[])), Engine::Serial);
-        assert_eq!(
-            engine_from_args(&args(&["--engine", "parallel", "--threads", "8"])),
-            Engine::EpochParallel { threads: 8 }
-        );
-        assert_eq!(
-            engine_from_args(&args(&["--threads", "2"])),
-            Engine::EpochParallel { threads: 2 }
-        );
-        assert_eq!(
-            engine_from_args(&args(&["--engine", "serial", "--threads", "2"])),
-            Engine::Serial
-        );
+    fn unknown_or_missing_scale_is_rejected() {
+        let scale = |argv: &[&str]| {
+            let args: Vec<String> = argv.iter().map(|x| x.to_string()).collect();
+            flag(
+                &args,
+                "--scale",
+                "test|bench|paper",
+                Scale::Bench,
+                Scale::parse,
+            )
+        };
+        for bad in ["tset", "Test", "full", ""] {
+            let err = scale(&["--scale", bad]).unwrap_err();
+            assert!(err.contains(&format!("unknown value `{bad}`")), "{err}");
+        }
+        assert!(scale(&["--scale"]).unwrap_err().contains("missing value"));
+        assert_eq!(scale(&["--ratios", "1"]), Ok(Scale::Bench));
     }
 
     #[test]
@@ -555,14 +527,12 @@ mod tests {
                 mode: CoherenceMode::FullCoh,
                 ratio: 1,
                 adr: false,
-                engine: Engine::Serial,
             },
             Job {
                 bench_idx: 7,
                 mode: CoherenceMode::Raccd,
                 ratio: 4,
                 adr: false,
-                engine: Engine::EpochParallel { threads: 2 },
             },
         ];
         let out = run_jobs(Scale::Test, MachineConfig::scaled(), &jobs);

@@ -1,7 +1,6 @@
 //! The committed `BENCH_7.json` perf-trajectory file must stay valid:
-//! it parses under the strict schema, covers the pinned matrix
-//! (including the epoch-parallel twins and the fig7-sweep engine-speedup
-//! pair), carries the required throughput metrics, and compares clean
+//! it parses under the strict schema, covers the pinned matrix, carries
+//! the required throughput metrics, and compares clean
 //! against itself. Any schema drift has to come with a `SCHEMA_VERSION`
 //! bump and a regenerated file — this test is what makes that drift loud.
 
@@ -37,23 +36,6 @@ fn golden_file_is_schema_valid() {
                 "matrix covers {mode}/profiled={profiled}"
             );
         }
-        // ... and the epoch-parallel twin of every (workload, mode) cell.
-        assert!(
-            doc.jobs
-                .iter()
-                .any(|j| j.mode == mode && j.name.ends_with("/par4")),
-            "matrix covers {mode} under the epoch-parallel engine"
-        );
-    }
-    // The fig7-sweep engine-speedup pair is the trajectory's record of
-    // the parallel engine's wall-clock effect.
-    for engine in ["serial", "par4"] {
-        assert!(
-            doc.jobs
-                .iter()
-                .any(|j| j.name == format!("fig7-sweep/{engine}")),
-            "fig7-sweep/{engine} job present"
-        );
     }
 }
 

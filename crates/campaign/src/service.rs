@@ -11,8 +11,8 @@
 //!    it. Every decision is a durable ledger record before it takes
 //!    effect.
 //! 2. **Execution** ([`Campaign::run`]): admitted jobs are leased to the
-//!    worker pool. A job simulates under its spec's engine, warm-starting
-//!    from the shared [`SnapshotPool`] when the spec has a warm-up phase.
+//!    worker pool. A job simulates warm-started from the shared
+//!    [`SnapshotPool`] when the spec has a warm-up phase.
 //!    Failures (fault detection, per-job timeout, worker panic) burn one
 //!    attempt; attempts below the retry budget are requeued after a
 //!    bounded-exponential backoff, the rest become terminal `failed`
@@ -31,7 +31,7 @@ use crate::pool::{panic_message, CancelToken, PoolCtx, PoolTask, WorkerPool};
 use crate::snappool::{SnapPoolStats, SnapshotPool};
 use crate::spec::{JobKey, JobSpec};
 use crate::stats_digest;
-use raccd_core::{Driver, Engine, SupervisedEnd};
+use raccd_core::{Driver, SupervisedEnd};
 use raccd_fault::{Backoff, Watchdog};
 use raccd_obs::json::Obj;
 use raccd_obs::{CampaignAction, Event};
@@ -519,7 +519,6 @@ fn execute_job(
     finish_supervised(
         driver,
         seed,
-        spec.engine,
         inner.config.slice,
         inner.config.timeout_ms,
         Some(cancel),
@@ -533,7 +532,6 @@ fn execute_job(
 fn finish_supervised(
     mut driver: Driver,
     seed: u64,
-    engine: Engine,
     slice: u64,
     timeout_ms: u64,
     cancel: Option<&CancelToken>,
@@ -542,7 +540,7 @@ fn finish_supervised(
     let started = Instant::now();
     let mut watchdog = (timeout_ms > 0).then(|| Watchdog::new(timeout_ms));
     let mut last_done = 0usize;
-    let (end, state_key, out) = driver.finish_engine_supervised(engine, slice, |d| {
+    let (end, state_key, out) = driver.finish_supervised(slice, |d| {
         if cancel.is_some_and(CancelToken::cancelled) {
             return Err("cancelled".into());
         }
@@ -592,7 +590,7 @@ pub fn execute_job_direct(spec: &JobSpec, seed: u64) -> Result<JobDigest, String
     if spec.warmup > 0 {
         driver.run_until(spec.warmup, None);
     }
-    finish_supervised(driver, seed, Engine::Serial, u64::MAX, 0, None)
+    finish_supervised(driver, seed, u64::MAX, 0, None)
 }
 
 /// Ledger-versus-results consistency proof (see [`Campaign::reconcile`]).

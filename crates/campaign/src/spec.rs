@@ -2,13 +2,13 @@
 //! identical work is identical text — the dedup fingerprint is a hash of
 //! the canonical form.
 //!
-//! One [`JobSpec`] names a *batch*: a (workload, machine, mode, engine,
-//! fault plan, warm-up) configuration plus an inclusive seed range. Each
+//! One [`JobSpec`] names a *batch*: a (workload, machine, mode, fault
+//! plan, warm-up) configuration plus an inclusive seed range. Each
 //! seed is an independent execution keyed by [`JobKey`] = (configuration
 //! fingerprint, seed); the fingerprint deliberately excludes the seed
 //! range so overlapping batches dedup seed-by-seed.
 
-use raccd_core::{CoherenceMode, Engine};
+use raccd_core::CoherenceMode;
 use raccd_fault::FaultPlan;
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_workloads::Scale;
@@ -49,8 +49,6 @@ pub struct JobSpec {
     pub topology: Topology,
     /// Ready-queue scheduling policy.
     pub sched: SchedKind,
-    /// Simulation engine (results are engine-independent by construction).
-    pub engine: Engine,
     /// Cycles of warm-up shared through the snapshot pool (0 = cold).
     pub warmup: u64,
     /// Fault plan spec (`raccd_fault::FaultPlan::from_spec` grammar), or
@@ -95,30 +93,12 @@ pub fn parse_mode(s: &str) -> Option<CoherenceMode> {
     }
 }
 
-fn engine_token(engine: Engine) -> String {
-    match engine {
-        Engine::Serial => "serial".to_string(),
-        Engine::EpochParallel { threads } => format!("parallel:{threads}"),
-    }
-}
-
-fn parse_engine(s: &str) -> Option<Engine> {
-    match s {
-        "serial" => Some(Engine::Serial),
-        _ => {
-            let threads = s.strip_prefix("parallel:")?.parse().ok()?;
-            Some(Engine::EpochParallel { threads })
-        }
-    }
-}
-
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "bench" => Some(Scale::Bench),
-        "paper" => Some(Scale::Paper),
-        _ => None,
-    }
+/// Whether `s` is an `engine=` value a legacy ledger line may carry
+/// (`serial` or `parallel:N`). The value no longer selects anything.
+fn is_legacy_engine(s: &str) -> bool {
+    s == "serial"
+        || s.strip_prefix("parallel:")
+            .is_some_and(|n| n.parse::<usize>().is_ok())
 }
 
 impl JobSpec {
@@ -133,7 +113,6 @@ impl JobSpec {
             protocol: ProtocolKind::Mesi,
             topology: Topology::Mesh,
             sched: SchedKind::Fifo,
-            engine: Engine::Serial,
             warmup: 0,
             fault: None,
             seed_lo: 1,
@@ -145,6 +124,8 @@ impl JobSpec {
     /// range, in fixed field order. Two specs describing the same work
     /// render identically, so [`JobSpec::fingerprint`] dedups them.
     pub fn canonical(&self) -> String {
+        // `engine=serial` is a fixed token: fingerprints stored in ledgers
+        // written while the field still selected an engine stay valid.
         let fault = match &self.fault {
             // Normalise through the plan grammar so `drop=0.02` and
             // `drop=2e-2` fingerprint identically.
@@ -154,7 +135,7 @@ impl JobSpec {
             None => "-".to_string(),
         };
         format!(
-            "bench={} scale={} mode={} ratio={} adr={} protocol={} topology={} sched={} engine={} warmup={} fault={}",
+            "bench={} scale={} mode={} ratio={} adr={} protocol={} topology={} sched={} engine=serial warmup={} fault={}",
             self.bench.to_ascii_lowercase(),
             self.scale,
             mode_label(self.mode),
@@ -163,7 +144,6 @@ impl JobSpec {
             self.protocol.label(),
             self.topology.label(),
             self.sched.label(),
-            engine_token(self.engine),
             self.warmup,
             fault,
         )
@@ -195,13 +175,17 @@ impl JobSpec {
                     saw_bench = true;
                 }
                 "scale" => {
-                    spec.scale = parse_scale(val).ok_or_else(|| format!("bad scale `{val}`"))?;
+                    spec.scale = Scale::parse(val).ok_or_else(|| format!("bad scale `{val}`"))?;
                 }
                 "mode" => {
                     spec.mode = parse_mode(val).ok_or_else(|| format!("bad mode `{val}`"))?;
                 }
                 "ratio" => {
-                    spec.ratio = val.parse().map_err(|_| format!("bad ratio `{val}`"))?;
+                    spec.ratio = val
+                        .parse()
+                        .ok()
+                        .filter(|&r| r > 0)
+                        .ok_or_else(|| format!("bad ratio `{val}`"))?;
                 }
                 "adr" => {
                     spec.adr = match val {
@@ -222,8 +206,11 @@ impl JobSpec {
                     spec.sched =
                         SchedKind::parse(val).ok_or_else(|| format!("bad sched `{val}`"))?;
                 }
+                // Legacy ledger lines name an engine; accepted and dropped.
                 "engine" => {
-                    spec.engine = parse_engine(val).ok_or_else(|| format!("bad engine `{val}`"))?;
+                    if !is_legacy_engine(val) {
+                        return Err(format!("bad engine `{val}`"));
+                    }
                 }
                 "warmup" => {
                     spec.warmup = val.parse().map_err(|_| format!("bad warmup `{val}`"))?;
@@ -318,7 +305,6 @@ mod tests {
             protocol: ProtocolKind::Mesi,
             topology: Topology::Mesh,
             sched: SchedKind::Fifo,
-            engine: Engine::EpochParallel { threads: 4 },
             warmup: 5_000,
             fault: Some("drop=0.02;dup=0.01".into()),
             seed_lo: 1,
@@ -333,7 +319,32 @@ mod tests {
         assert_eq!(parsed.fingerprint(), s.fingerprint());
         assert_eq!(parsed.seed_lo, 1);
         assert_eq!(parsed.seed_hi, 8);
-        assert_eq!(parsed.engine, s.engine);
+    }
+
+    #[test]
+    fn legacy_engine_lines_keep_their_fingerprint() {
+        let serial = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
+        assert_eq!(serial.fingerprint(), 0x5c96_3c91_8ec1_3400);
+        for line in [
+            "bench=jacobi scale=test mode=raccd engine=parallel:4 seeds=1..1",
+            "bench=jacobi scale=test mode=raccd engine=serial seeds=1..1",
+        ] {
+            let legacy = JobSpec::parse(line).expect("legacy line parses");
+            assert_eq!(legacy.fingerprint(), serial.fingerprint(), "{line}");
+        }
+        for bad in ["warp", "parallel", "parallel:x", "Serial"] {
+            let err = JobSpec::parse(&format!("bench=jacobi engine={bad}")).unwrap_err();
+            assert!(err.starts_with("bad engine"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_ratio_is_rejected_at_parse_time() {
+        let err = JobSpec::parse("bench=jacobi scale=test ratio=0 seeds=1..1").unwrap_err();
+        assert!(err.starts_with("bad ratio"), "{err}");
+        assert!(JobSpec::parse("bench=jacobi ratio=-1").is_err());
+        let one = JobSpec::parse("bench=jacobi ratio=1").expect("1:1 is valid");
+        assert_eq!(one.machine_config().dir_ratio, 1);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 use crate::diff::first_mem_diff;
 use crate::taskgen::{GraphParams, RandomGraph};
 use crate::trace::dump_dir;
-use raccd_core::driver::{run_program_faulty, run_program_with};
-use raccd_core::{CoherenceMode, DetectReason, FaultReport};
+use raccd_core::driver::run_program;
+use raccd_core::{CoherenceMode, DetectReason, Driver, FaultReport};
 use raccd_mem::SimMemory;
 use raccd_sim::{CheckReport, FaultPlan, MachineConfig};
 use std::cell::RefCell;
@@ -200,12 +200,7 @@ struct Twin {
 fn run_twin(cfg: MachineConfig, params: GraphParams) -> Twin {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run_program_with(
-        cfg.with_shadow_collect(true),
-        CoherenceMode::Raccd,
-        program,
-        None,
-    );
+    let out = run_program(cfg.with_shadow_collect(true), CoherenceMode::Raccd, program);
     let mut reads = log.borrow().clone();
     reads.sort();
     Twin {
@@ -227,13 +222,8 @@ fn run_one(
 ) -> CampaignOutcome {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run_program_faulty(
-        cfg.with_shadow_collect(true),
-        CoherenceMode::Raccd,
-        program,
-        plan,
-        None,
-    );
+    let cfg = cfg.with_shadow_collect(true);
+    let out = Driver::new(cfg, CoherenceMode::Raccd, program, Some(plan), None).finish(None);
     let report = out.fault;
     let spec = plan.to_spec();
 

@@ -1,21 +1,16 @@
-//! Per-protocol × per-topology engine differential.
+//! Protocol and topology variants, full stack.
 //!
-//! The engine bit-identity contract is protocol- and topology-blind: for
-//! every coherence protocol ({MESI, MESIF, MOESI}) on every NoC topology
-//! ({mesh, numa2}), the epoch-parallel engine must reproduce the serial
-//! oracle exactly — same `Stats`, same shadow-checker `state_key` (which
-//! renders the protocol-specific F/O line states and the directory's
-//! forward pointer, so a protocol-path divergence cannot hide). Any
-//! divergence dumps a replayable counterexample recipe to
-//! `$RACCD_CHECK_DUMP_DIR` (or `target/raccd-check-counterexamples/`).
+//! Every coherence protocol ({MESI, MESIF, MOESI}) on every NoC topology
+//! ({mesh, numa2}) must run real workloads clean under the fail-fast
+//! shadow checker, and the variants must actually differ: the protocols
+//! route a sharing workload differently, and `numa2` makes the
+//! inter-socket link visible in cycles.
 
-use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine, Recorder};
+use raccd_core::driver::run_program;
+use raccd_core::CoherenceMode;
 use raccd_runtime::Workload;
 use raccd_sim::{MachineConfig, ProtocolKind, Topology};
 use raccd_workloads::{histo::Histo, jacobi::Jacobi, Scale};
-use std::path::PathBuf;
-
-const THREADS: [usize; 2] = [2, 4];
 
 /// Tiny shadow-checked machine: 2×2 mesh per socket, so `numa2` runs
 /// eight cores split across the inter-socket link.
@@ -38,132 +33,35 @@ fn workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-struct EngineRun {
-    key: Option<String>,
-    out: DriverOutput,
-    rec: Recorder,
-}
-
-fn run_engine(
-    w: &dyn Workload,
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    engine: Engine,
-) -> EngineRun {
-    let mut rec = Recorder::default();
-    let driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
-    let (key, out) = driver.finish_engine_keyed(engine, Some(&mut rec));
-    EngineRun { key, out, rec }
-}
-
-fn dump_dir() -> PathBuf {
-    match std::env::var_os("RACCD_CHECK_DUMP_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("target").join("raccd-check-counterexamples"),
-    }
-}
-
-fn dump_counterexample(
-    w: &dyn Workload,
-    protocol: ProtocolKind,
-    topology: Topology,
-    mode: CoherenceMode,
-    threads: usize,
-    detail: &str,
-) -> String {
-    let dir = dump_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!(
-        "protocol-diff-{}-{}-{}-{mode}-t{threads}-{}.txt",
-        w.name(),
-        protocol.label(),
-        topology.label(),
-        std::process::id()
-    ));
-    let text = format!(
-        "# parallel-vs-serial divergence (protocol variant)\n\
-         workload = {}\nprotocol = {protocol}\ntopology = {topology}\n\
-         mode = {mode}\nthreads = {threads}\n\
-         # reproduce: cargo test -p raccd-check --test protocol_differential\n\
-         {detail}\n",
-        w.name(),
-    );
-    let _ = std::fs::write(&path, text);
-    format!("{} (counterexample: {})", detail, path.display())
-}
-
-fn sweep(protocol: ProtocolKind, topology: Topology) {
-    let cfg = tiny(protocol, topology);
-    let mut failures = String::new();
-    for w in workloads() {
-        for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
-            let serial = run_engine(w.as_ref(), cfg, mode, Engine::Serial);
-            assert!(serial.key.is_some(), "shadow checker attached");
-            for threads in THREADS {
-                let par = run_engine(w.as_ref(), cfg, mode, Engine::EpochParallel { threads });
-                let mut detail = String::new();
-                if par.out.stats != serial.out.stats {
-                    detail.push_str(&format!(
-                        "Stats diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.out.stats, par.out.stats
-                    ));
-                }
-                if par.key != serial.key {
-                    detail.push_str(&format!(
-                        "shadow state_key diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.key, par.key
-                    ));
-                }
-                if par.rec.events() != serial.rec.events() {
-                    detail.push_str("telemetry event stream diverged\n");
-                }
-                if !detail.is_empty() {
-                    failures.push_str(&format!(
-                        "{} {protocol}@{topology} under {mode}: {}\n",
+/// The fail-fast checker panics on the first violation, so completing
+/// with a report and a verified memory image means a clean run.
+#[test]
+fn every_protocol_and_topology_runs_shadow_clean() {
+    for protocol in ProtocolKind::ALL {
+        for topology in Topology::ALL {
+            for w in workloads() {
+                for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
+                    let out = run_program(tiny(protocol, topology), mode, w.build());
+                    let report = out.check.as_ref().expect("shadow checker attached");
+                    assert!(
+                        report.violations.is_empty(),
+                        "{} {protocol}@{topology} under {mode}: {:?}",
                         w.name(),
-                        dump_counterexample(w.as_ref(), protocol, topology, mode, threads, &detail)
-                    ));
+                        report.violations
+                    );
+                    w.verify(&out.mem).unwrap_or_else(|e| {
+                        panic!("{} {protocol}@{topology} under {mode}: {e}", w.name())
+                    });
                 }
             }
         }
     }
-    assert!(failures.is_empty(), "{failures}");
-}
-
-#[test]
-fn mesi_mesh_parallel_matches_serial() {
-    sweep(ProtocolKind::Mesi, Topology::Mesh);
-}
-
-#[test]
-fn mesi_numa2_parallel_matches_serial() {
-    sweep(ProtocolKind::Mesi, Topology::Numa2);
-}
-
-#[test]
-fn mesif_mesh_parallel_matches_serial() {
-    sweep(ProtocolKind::Mesif, Topology::Mesh);
-}
-
-#[test]
-fn mesif_numa2_parallel_matches_serial() {
-    sweep(ProtocolKind::Mesif, Topology::Numa2);
-}
-
-#[test]
-fn moesi_mesh_parallel_matches_serial() {
-    sweep(ProtocolKind::Moesi, Topology::Mesh);
-}
-
-#[test]
-fn moesi_numa2_parallel_matches_serial() {
-    sweep(ProtocolKind::Moesi, Topology::Numa2);
 }
 
 /// The variants must actually *be* variants: under FullCoh the three
 /// protocols route a sharing-heavy workload differently (MESIF's clean
 /// F-supplies and MOESI's writeback-free O downgrades change the traffic
-/// mix), so their serial Stats must not all coincide.
+/// mix), so their Stats must not all coincide.
 #[test]
 fn protocols_differentiate_under_fullcoh() {
     let w = Jacobi {
@@ -174,16 +72,7 @@ fn protocols_differentiate_under_fullcoh() {
     };
     let stats: Vec<_> = ProtocolKind::ALL
         .iter()
-        .map(|&p| {
-            run_engine(
-                &w,
-                tiny(p, Topology::Mesh),
-                CoherenceMode::FullCoh,
-                Engine::Serial,
-            )
-            .out
-            .stats
-        })
+        .map(|&p| run_program(tiny(p, Topology::Mesh), CoherenceMode::FullCoh, w.build()).stats)
         .collect();
     assert!(
         stats.iter().any(|s| s != &stats[0]),
@@ -197,20 +86,18 @@ fn protocols_differentiate_under_fullcoh() {
 #[test]
 fn numa2_differentiates_from_mesh() {
     let w = Histo::new(Scale::Test);
-    let mesh = run_engine(
-        &w,
+    let mesh = run_program(
         tiny(ProtocolKind::Mesi, Topology::Mesh),
         CoherenceMode::FullCoh,
-        Engine::Serial,
+        w.build(),
     );
-    let numa = run_engine(
-        &w,
+    let numa = run_program(
         tiny(ProtocolKind::Mesi, Topology::Numa2),
         CoherenceMode::FullCoh,
-        Engine::Serial,
+        w.build(),
     );
     assert_ne!(
-        mesh.out.stats.cycles, numa.out.stats.cycles,
+        mesh.stats.cycles, numa.stats.cycles,
         "inter-socket link latency must be visible in cycles"
     );
 }

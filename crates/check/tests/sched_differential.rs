@@ -1,28 +1,16 @@
-//! Per-scheduler engine differential.
+//! Scheduler policies, full stack.
 //!
-//! The engine bit-identity contract is scheduler-blind: for every
-//! scheduling policy (`SchedKind::ALL`) the epoch-parallel engine must
-//! reproduce the serial oracle exactly — same `Stats`, same
-//! shadow-checker `state_key`, same telemetry stream. Scheduling (and
-//! quantum preemption) happens on the serial commit path, so a policy can
-//! reorder work but never break determinism. Any divergence dumps a
-//! replayable counterexample recipe to `$RACCD_CHECK_DUMP_DIR` (or
-//! `target/raccd-check-counterexamples/`).
-//!
-//! On top of the engine differential this suite proves the policies are
-//! *interchangeable in outcome*: every policy drives each workload to the
-//! same final memory image (same program, different interleaving), the
-//! quantum policy's preemption audit log replays deterministically, and
-//! the locality policy actually reduces migrations versus the central
-//! FIFO queue.
+//! The policies are *interchangeable in outcome*: every policy drives
+//! each workload to the same final memory image (same program, different
+//! interleaving) with the shadow checker clean, the quantum policy's
+//! preemption audit log replays deterministically, and the locality
+//! policy actually reduces migrations versus the central FIFO queue.
 
-use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine, Recorder};
+use raccd_core::driver::run_program;
+use raccd_core::{CoherenceMode, DriverOutput};
 use raccd_runtime::Workload;
 use raccd_sim::{MachineConfig, SchedKind};
 use raccd_workloads::{histo::Histo, jacobi::Jacobi, Scale};
-use std::path::PathBuf;
-
-const THREADS: [usize; 2] = [2, 4];
 
 /// Quantum small enough that the tiny workloads' tasks actually expire
 /// mid-trace (tasks here run a few hundred cycles per batch window).
@@ -49,24 +37,6 @@ fn workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-struct EngineRun {
-    key: Option<String>,
-    out: DriverOutput,
-    rec: Recorder,
-}
-
-fn run_engine(
-    w: &dyn Workload,
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    engine: Engine,
-) -> EngineRun {
-    let mut rec = Recorder::default();
-    let driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
-    let (key, out) = driver.finish_engine_keyed(engine, Some(&mut rec));
-    EngineRun { key, out, rec }
-}
-
 /// FNV-1a-64 over the run's final memory image, allocation by allocation.
 fn mem_checksum(out: &DriverOutput) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -79,114 +49,6 @@ fn mem_checksum(out: &DriverOutput) -> u64 {
     h
 }
 
-fn dump_dir() -> PathBuf {
-    match std::env::var_os("RACCD_CHECK_DUMP_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("target").join("raccd-check-counterexamples"),
-    }
-}
-
-fn dump_counterexample(
-    w: &dyn Workload,
-    sched: SchedKind,
-    mode: CoherenceMode,
-    threads: usize,
-    detail: &str,
-) -> String {
-    let dir = dump_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!(
-        "sched-diff-{}-{}-{mode}-t{threads}-{}.txt",
-        w.name(),
-        sched.label(),
-        std::process::id()
-    ));
-    let text = format!(
-        "# parallel-vs-serial divergence (scheduler policy)\n\
-         workload = {}\nsched = {sched}\nmode = {mode}\nthreads = {threads}\n\
-         quantum = {TINY_QUANTUM}\n\
-         # reproduce: cargo test -p raccd-check --test sched_differential\n\
-         {detail}\n",
-        w.name(),
-    );
-    let _ = std::fs::write(&path, text);
-    format!("{} (counterexample: {})", detail, path.display())
-}
-
-fn sweep(sched: SchedKind) {
-    let cfg = tiny(sched);
-    let mut failures = String::new();
-    for w in workloads() {
-        for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
-            let serial = run_engine(w.as_ref(), cfg, mode, Engine::Serial);
-            assert!(serial.key.is_some(), "shadow checker attached");
-            assert!(
-                w.verify(&serial.out.mem).is_ok(),
-                "{} under {sched}/{mode}: wrong functional output",
-                w.name()
-            );
-            for threads in THREADS {
-                let par = run_engine(w.as_ref(), cfg, mode, Engine::EpochParallel { threads });
-                let mut detail = String::new();
-                if par.out.stats != serial.out.stats {
-                    detail.push_str(&format!(
-                        "Stats diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.out.stats, par.out.stats
-                    ));
-                }
-                if par.key != serial.key {
-                    detail.push_str(&format!(
-                        "shadow state_key diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.key, par.key
-                    ));
-                }
-                if par.out.audit != serial.out.audit {
-                    detail.push_str(&format!(
-                        "preemption audit log diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.out.audit, par.out.audit
-                    ));
-                }
-                if par.rec.events() != serial.rec.events() {
-                    detail.push_str("telemetry event stream diverged\n");
-                }
-                if !detail.is_empty() {
-                    failures.push_str(&format!(
-                        "{} {sched} under {mode}: {}\n",
-                        w.name(),
-                        dump_counterexample(w.as_ref(), sched, mode, threads, &detail)
-                    ));
-                }
-            }
-        }
-    }
-    assert!(failures.is_empty(), "{failures}");
-}
-
-#[test]
-fn fifo_parallel_matches_serial() {
-    sweep(SchedKind::Fifo);
-}
-
-#[test]
-fn steal_parallel_matches_serial() {
-    sweep(SchedKind::Steal);
-}
-
-#[test]
-fn priority_parallel_matches_serial() {
-    sweep(SchedKind::Priority);
-}
-
-#[test]
-fn locality_parallel_matches_serial() {
-    sweep(SchedKind::Locality);
-}
-
-#[test]
-fn quantum_parallel_matches_serial() {
-    sweep(SchedKind::Quantum);
-}
-
 /// Different policies execute different interleavings of the *same*
 /// program, so every policy must converge to the same final memory image
 /// (and a clean shadow oracle, asserted inside the runs).
@@ -196,13 +58,14 @@ fn all_policies_reach_the_same_final_memory() {
         for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
             let mut sums = Vec::new();
             for sched in SchedKind::ALL {
-                let run = run_engine(w.as_ref(), tiny(sched), mode, Engine::Serial);
+                let out = run_program(tiny(sched), mode, w.build());
+                assert!(out.check.is_some(), "shadow checker attached");
                 assert!(
-                    w.verify(&run.out.mem).is_ok(),
+                    w.verify(&out.mem).is_ok(),
                     "{} under {sched}/{mode}: wrong functional output",
                     w.name()
                 );
-                sums.push((sched, mem_checksum(&run.out)));
+                sums.push((sched, mem_checksum(&out)));
             }
             assert!(
                 sums.iter().all(|(_, s)| *s == sums[0].1),
@@ -214,8 +77,7 @@ fn all_policies_reach_the_same_final_memory() {
 }
 
 /// The quantum policy must actually preempt on this configuration, and
-/// its append-only audit log must replay identically run over run (and
-/// under the epoch-parallel engine — checked in the sweep above).
+/// its append-only audit log must replay identically run over run.
 #[test]
 fn quantum_audit_log_replays_deterministically() {
     let w = Jacobi {
@@ -224,34 +86,23 @@ fn quantum_audit_log_replays_deterministically() {
         blocks: 4,
         ..Jacobi::new(Scale::Test)
     };
-    let a = run_engine(
-        &w,
-        tiny(SchedKind::Quantum),
-        CoherenceMode::Raccd,
-        Engine::Serial,
-    );
-    let b = run_engine(
-        &w,
-        tiny(SchedKind::Quantum),
-        CoherenceMode::Raccd,
-        Engine::Serial,
-    );
+    let a = run_program(tiny(SchedKind::Quantum), CoherenceMode::Raccd, w.build());
+    let b = run_program(tiny(SchedKind::Quantum), CoherenceMode::Raccd, w.build());
     assert!(
-        !a.out.audit.is_empty(),
+        !a.audit.is_empty(),
         "quantum {TINY_QUANTUM} never preempted — audit log is empty"
     );
-    assert_eq!(a.out.audit, b.out.audit, "audit log must be reproducible");
-    assert_eq!(a.out.stats.preemptions, a.out.audit.len() as u64);
+    assert_eq!(a.audit, b.audit, "audit log must be reproducible");
+    assert_eq!(a.stats.preemptions, a.audit.len() as u64);
     // Each record is internally consistent: the preempted position lies
     // inside the task's trace, and cycles are non-decreasing (append-only).
-    for rec in &a.out.audit {
+    for rec in &a.audit {
         assert!(rec.pos > 0 && rec.remaining > 0, "mid-trace preemption");
     }
     // Cycles are stamped with each context's local clock, so the global
     // log is ordered per context, not globally.
     for ctx in 0..4 {
         let cycles: Vec<u64> = a
-            .out
             .audit
             .iter()
             .filter(|r| r.ctx == ctx)
@@ -263,14 +114,9 @@ fn quantum_audit_log_replays_deterministically() {
         );
     }
     // Non-quantum policies never preempt and keep an empty log.
-    let fifo = run_engine(
-        &w,
-        tiny(SchedKind::Fifo),
-        CoherenceMode::Raccd,
-        Engine::Serial,
-    );
-    assert!(fifo.out.audit.is_empty());
-    assert_eq!(fifo.out.stats.preemptions, 0);
+    let fifo = run_program(tiny(SchedKind::Fifo), CoherenceMode::Raccd, w.build());
+    assert!(fifo.audit.is_empty());
+    assert_eq!(fifo.stats.preemptions, 0);
 }
 
 /// The policies must actually *be* policies: stealing records steals,
@@ -284,39 +130,39 @@ fn policies_differentiate() {
         blocks: 4,
         ..Jacobi::new(Scale::Test)
     };
-    let run = |sched| run_engine(&w, tiny(sched), CoherenceMode::Raccd, Engine::Serial);
+    let run = |sched| run_program(tiny(sched), CoherenceMode::Raccd, w.build());
     let fifo = run(SchedKind::Fifo);
     let steal = run(SchedKind::Steal);
     let loc = run(SchedKind::Locality);
     let quantum = run(SchedKind::Quantum);
     assert!(
-        steal.out.stats.sched_steals > 0,
+        steal.stats.sched_steals > 0,
         "work stealing never stole on a 4-context machine"
     );
-    assert_eq!(fifo.out.stats.sched_steals, 0, "central queue cannot steal");
+    assert_eq!(fifo.stats.sched_steals, 0, "central queue cannot steal");
     assert!(
-        loc.out.stats.task_migrations < fifo.out.stats.task_migrations,
+        loc.stats.task_migrations < fifo.stats.task_migrations,
         "locality {} vs fifo {} migrations",
-        loc.out.stats.task_migrations,
-        fifo.out.stats.task_migrations
+        loc.stats.task_migrations,
+        fifo.stats.task_migrations
     );
     assert!(
-        loc.out.stats.ncrt_migrations < fifo.out.stats.ncrt_migrations,
+        loc.stats.ncrt_migrations < fifo.stats.ncrt_migrations,
         "locality {} vs fifo {} NCRT hand-offs",
-        loc.out.stats.ncrt_migrations,
-        fifo.out.stats.ncrt_migrations
+        loc.stats.ncrt_migrations,
+        fifo.stats.ncrt_migrations
     );
     assert!(
-        quantum.out.stats.preemptions > 0 && quantum.out.stats.cycles != fifo.out.stats.cycles,
+        quantum.stats.preemptions > 0 && quantum.stats.cycles != fifo.stats.cycles,
         "quantum preemption must be visible in the timing"
     );
     // Every policy pops exactly what it pushed (counter symmetry — the
     // old StealQueues under-reporting is structurally impossible now).
     for r in [&fifo, &steal, &loc, &quantum] {
-        assert_eq!(r.out.stats.sched_pushed, r.out.stats.sched_popped);
+        assert_eq!(r.stats.sched_pushed, r.stats.sched_popped);
         assert_eq!(
-            r.out.stats.sched_popped,
-            r.out.stats.sched_local_pops + r.out.stats.sched_steals
+            r.stats.sched_popped,
+            r.stats.sched_local_pops + r.stats.sched_steals
         );
     }
 }

@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 /// References processed per core turn before re-entering the heap.
 /// Small enough to interleave finely, large enough to amortise heap cost.
-pub(crate) const BATCH: usize = 64;
+const BATCH: usize = 64;
 
 /// Deterministic scheduling jitter (cycles), modelling the wake-up/IPI
 /// latency variation of a real runtime. Without it the simulator's
@@ -50,12 +50,12 @@ fn sched_jitter(core: usize, salt: u64) -> u64 {
     h.next_below(48)
 }
 
-pub(crate) struct Running {
+struct Running {
     tid: raccd_runtime::TaskId,
-    pub(crate) trace: Vec<MemRef>,
-    pub(crate) pos: usize,
+    trace: Vec<MemRef>,
+    pos: usize,
     /// Fault plane: the trace index at which this attempt aborts, if any.
-    pub(crate) fail_at: Option<usize>,
+    fail_at: Option<usize>,
 }
 
 /// Scheduler construction inputs derived from the machine shape and the
@@ -103,73 +103,36 @@ pub struct DriverOutput {
     /// (`cfg.shadow_check`, `RACCD_SHADOW_CHECK=1`, or a harness-installed
     /// sink). `None` when no checker ran.
     pub check: Option<CheckReport>,
-    /// Fault-plane outcome, when a plane was attached
-    /// ([`run_program_faulty`] or `RACCD_FAULT_SPEC`). `None` otherwise.
+    /// Fault-plane outcome, when a plane was attached (a `plan` passed to
+    /// [`Driver::new`] or `RACCD_FAULT_SPEC`). `None` otherwise.
     pub fault: Option<FaultReport>,
     /// Self-profiler span table, when a profiler was attached
-    /// ([`run_program_profiled`] or [`Driver::attach_prof`]). `None`
-    /// otherwise. Host wall-time attribution only — never affects the
-    /// simulated outcome.
+    /// ([`Driver::attach_prof`]). `None` otherwise. Host wall-time
+    /// attribution only — never affects the simulated outcome.
     pub prof: Option<ProfReport>,
     /// The scheduler's append-only quantum-preemption audit log (empty
     /// for every policy but `quantum`). Deterministic: identical runs
-    /// produce identical logs, serial or epoch-parallel.
+    /// produce identical logs.
     pub audit: Vec<PreemptRecord>,
 }
 
 /// Run a program to completion on a machine configured per `cfg` under the
-/// given coherence mode.
+/// given coherence mode. Telemetry, the self-profiler and fault plans go
+/// through [`Driver`] directly: `Driver::new(cfg, mode, program, plan,
+/// rec)`, optionally [`Driver::attach_prof`], then [`Driver::finish`].
 pub fn run_program(cfg: MachineConfig, mode: CoherenceMode, program: Program) -> DriverOutput {
-    run_program_with(cfg, mode, program, None)
+    Driver::new(cfg, mode, program, None, None).finish(None)
 }
 
-/// [`run_program`] with optional telemetry. With `Some(recorder)` the
-/// driver emits the full task-lifecycle and RaCCD-mechanism event stream,
-/// feeds the latency histograms, samples the interval time-series on the
-/// global heap clock, and drains the machine's protocol events into the
-/// recorder. With `None` every hook is a single branch on a niche pointer,
-/// keeping the disabled path within the telemetry overhead budget.
-pub fn run_program_with(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: Program,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    Driver::new(cfg, mode, program, None, rec.as_deref_mut()).finish(rec)
-}
-
-/// [`run_program_with`] plus the self-profiler: the returned
-/// `output.prof` attributes host wall-time to the fixed site registry
-/// (cache lookups, directory accesses, NoC transmits, TLB walks, runtime
-/// scheduling, snapshot codecs). The profiler reads only host clocks —
-/// never simulated state — so the simulated outcome (Stats, memory image,
-/// `state_key`) is bit-identical to an unprofiled run; the differential
-/// suite asserts this.
-pub fn run_program_profiled(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: Program,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    let mut driver = Driver::new(cfg, mode, program, None, rec.as_deref_mut());
-    driver.attach_prof();
-    driver.finish(rec)
-}
-
-/// [`run_program_with`] plus a fault plane built from `plan`. The run
-/// either completes with every injected fault recovered
-/// (`fault.detected == None`) or is aborted as *detected* — by the
-/// progress watchdog, a message retry budget, or a task retry budget —
-/// never silently wrong. Sustained NCRT/retry pressure may downgrade
-/// RaCCD to full coherence mid-run (`fault.degraded`).
-pub fn run_program_faulty(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: Program,
-    plan: FaultPlan,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    Driver::new(cfg, mode, program, Some(plan), rec.as_deref_mut()).finish(rec)
+/// Why a supervised run stopped ([`Driver::finish_supervised`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SupervisedEnd {
+    /// The run drained its heap (or a fault detection ended it) — the
+    /// normal completions [`Driver::finish`] also reaches.
+    Completed,
+    /// The supervisor's tick aborted the run with this reason (campaign
+    /// cancellation, per-job watchdog timeout, resource ceiling, …).
+    Aborted(String),
 }
 
 /// Rollback-recovery knobs for [`run_program_resilient`].
@@ -191,7 +154,7 @@ impl Default for RollbackPolicy {
     }
 }
 
-/// [`run_program_faulty`] with checkpoint-rollback recovery: the driver
+/// A fault-planned run with checkpoint-rollback recovery: the driver
 /// auto-checkpoints every `policy.checkpoint_interval` cycles and, when a
 /// fault is *detected* (watchdog, message or task retry budget), restores
 /// the last good checkpoint and resumes instead of aborting — up to
@@ -271,9 +234,9 @@ impl raccd_snap::Snap for Running {
 /// bodies of already-dispatched tasks whose functional effect is already
 /// in the restored memory image.
 pub struct Driver {
-    pub(crate) cfg: MachineConfig,
-    pub(crate) mode: CoherenceMode,
-    pub(crate) machine: Machine,
+    cfg: MachineConfig,
+    mode: CoherenceMode,
+    machine: Machine,
     mem: SimMemory,
     graph: TaskGraph,
     edges: usize,
@@ -292,13 +255,13 @@ pub struct Driver {
     /// Cycle at which each context's current task was (re)dispatched —
     /// the quantum clock for [`SchedKind::Quantum`].
     quantum_start: Vec<u64>,
-    pub(crate) running: Vec<Option<Running>>,
+    running: Vec<Option<Running>>,
     waker_core: Vec<Option<u32>>,
     wake_time: Vec<u64>,
     trace_pool: Vec<Vec<MemRef>>,
     core_time: Vec<u64>,
     idle: Vec<usize>,
-    pub(crate) heap: BinaryHeap<Reverse<(u64, usize)>>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Tasks in the order they completed (the graph replay script).
     completion_order: Vec<raccd_runtime::TaskId>,
     end_time: u64,
@@ -413,8 +376,11 @@ impl Driver {
         }
     }
 
-    /// Attach the self-profiler (host wall-time attribution per
-    /// [`raccd_prof::Site`]; see [`run_program_profiled`]). A decode
+    /// Attach the self-profiler: the output's `prof` then attributes host
+    /// wall-time to the fixed [`raccd_prof::Site`] registry (cache lookups,
+    /// directory accesses, NoC transmits, TLB walks, runtime scheduling,
+    /// snapshot codecs). The profiler reads only host clocks, so the
+    /// simulated outcome is bit-identical to an unprofiled run. A decode
     /// measurement pending from [`Driver::restore`] is credited to the
     /// fresh profiler's `snap/decode` site.
     pub fn attach_prof(&mut self) {
@@ -493,26 +459,41 @@ impl Driver {
         self.into_output(rec)
     }
 
-    /// Process one heap entry (one core turn). Returns `false` when the
-    /// run is over: the heap drained or a detection aborted it.
-    pub fn step(&mut self, rec: Option<&mut Recorder>) -> bool {
-        self.step_spec(None, rec)
+    /// Resilience hook for long-running orchestration (the campaign
+    /// service): run to completion, but between slices of at most `slice`
+    /// heap cycles call `tick` with the live driver. A `tick` error aborts
+    /// the run cooperatively — the driver stops at a slice boundary (a
+    /// core-turn boundary, so nothing is half-committed) and the partial
+    /// run is discarded: an aborted attempt yields no output, exactly like
+    /// a crash at the same point. A completed run also returns the final
+    /// shadow-checker `state_key` (when a checker is attached).
+    ///
+    /// The tick runs on the simulating thread, so it costs one closure
+    /// call per slice — size `slice` so supervision overhead stays noise
+    /// (the campaign default is 50k cycles).
+    pub fn finish_supervised(
+        mut self,
+        slice: u64,
+        mut tick: impl FnMut(&Driver) -> Result<(), String>,
+    ) -> (SupervisedEnd, Option<String>, Option<DriverOutput>) {
+        let slice = slice.max(1);
+        while let Some(t) = self.next_time() {
+            if !self.run_until(t.saturating_add(slice), None) {
+                break;
+            }
+            if let Err(reason) = tick(&self) {
+                // Mid-program: unexecuted tasks remain, so the driver
+                // cannot be torn down into output — drop it whole.
+                return (SupervisedEnd::Aborted(reason), None, None);
+            }
+        }
+        let key = self.shadow_state_key();
+        (SupervisedEnd::Completed, key, Some(self.into_output(None)))
     }
 
-    /// [`Driver::step`] with an optional speculated hit prefix for the
-    /// turn being popped. With `Some(prefix)` the turn's leading private
-    /// hits were pre-executed off-thread on a shard clone (see
-    /// [`raccd_sim::spec`]); the prefix is committed by adopting the shard
-    /// and replaying its deferred side effects in exact serial order, then
-    /// the rest of the batch runs through the unchanged serial path. The
-    /// epoch-parallel engine is the only caller that passes `Some`; it
-    /// guarantees the shard is still current (heap-agreement + the
-    /// machine's spec-touch mask).
-    pub(crate) fn step_spec(
-        &mut self,
-        spec: Option<raccd_sim::HitPrefix>,
-        mut rec: Option<&mut Recorder>,
-    ) -> bool {
+    /// Process one heap entry (one core turn). Returns `false` when the
+    /// run is over: the heap drained or a detection aborted it.
+    pub fn step(&mut self, mut rec: Option<&mut Recorder>) -> bool {
         let t_step = raccd_prof::t0(self.machine.prof());
         // Auto-checkpoint on iteration boundaries (state is consistent
         // only between core turns).
@@ -761,31 +742,6 @@ impl Driver {
             Some(mut run) => {
                 // Task execution phase: replay a batch of references.
                 let end = (run.pos + BATCH).min(run.trace.len());
-                if let Some(prefix) = spec {
-                    // Commit a speculated hit prefix: adopt the shard (the
-                    // exact state the serial hit path would have produced),
-                    // then replay the deferred per-reference side effects —
-                    // checker events, census, refs counter, latency
-                    // histograms — in serial order. Hits never touch a
-                    // bank, so the bank-wait histogram records zeros.
-                    debug_assert!(run.pos + prefix.refs.len() <= end);
-                    debug_assert!(run.fail_at.is_none_or(|f| f >= end));
-                    let t_merge = raccd_prof::t0(self.machine.prof());
-                    let nrefs = prefix.refs.len() as u64;
-                    self.machine.adopt_core_shard(core, prefix.shard);
-                    for s in &prefix.refs {
-                        self.machine.note_spec_hit(core, s.block, s.write, s.nc);
-                        self.census.record(s.block, !s.nc);
-                        self.machine.stats.refs_processed += 1;
-                        now += s.cycles;
-                        if let Some(rr) = rec.as_deref_mut() {
-                            rr.hist_mem_latency.record(s.cycles);
-                            rr.hist_bank_wait.record(0);
-                        }
-                    }
-                    run.pos += prefix.refs.len();
-                    raccd_prof::rec_units(self.machine.prof(), Site::EpochMerge, t_merge, nrefs);
-                }
                 let mut failed = false;
                 while run.pos < end {
                     if run.fail_at == Some(run.pos) {
@@ -1203,7 +1159,7 @@ impl Driver {
 
     /// Tear the run down into its output. Must only be called once the
     /// run is over ([`Driver::step`] returned `false`).
-    pub(crate) fn into_output(mut self, mut rec: Option<&mut Recorder>) -> DriverOutput {
+    fn into_output(mut self, mut rec: Option<&mut Recorder>) -> DriverOutput {
         let completed = self.completion_order.len();
         // A detection ends the run early by design; only a clean run
         // promises every task retired.
@@ -1408,6 +1364,11 @@ mod tests {
         run_program(MachineConfig::scaled(), mode, two_phase_program())
     }
 
+    fn run_faulty(plan: FaultPlan) -> DriverOutput {
+        let (cfg, mode) = (MachineConfig::scaled(), CoherenceMode::Raccd);
+        Driver::new(cfg, mode, two_phase_program(), Some(plan), None).finish(None)
+    }
+
     #[test]
     fn all_modes_complete_and_agree_functionally() {
         // Reader 0 sums rows 0 and 1: Σ_{j∈{0,1}} Σ_w (j·1000 + w).
@@ -1505,13 +1466,7 @@ mod tests {
             delay: 0.02,
             ..FaultPlan::default()
         };
-        let faulty = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let faulty = run_faulty(plan);
         let report = faulty.fault.expect("plane attached");
         assert!(report.recovered(), "modest rates recover: {report:?}");
         assert!(report.stats.injected > 0, "faults were actually injected");
@@ -1529,13 +1484,7 @@ mod tests {
             task_fail: 0.3,
             ..FaultPlan::default()
         };
-        let faulty = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let faulty = run_faulty(plan);
         let report = faulty.fault.expect("plane attached");
         assert!(report.recovered(), "{report:?}");
         assert!(
@@ -1556,13 +1505,7 @@ mod tests {
             task_retry_budget: 2,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert!(
             matches!(report.detected, Some(DetectReason::TaskRetryBudget { .. })),
@@ -1579,13 +1522,7 @@ mod tests {
             retry_budget: 2,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert_eq!(report.detected, Some(DetectReason::MsgRetryBudget));
         assert!(report.stats.budget_exhausted > 0);
@@ -1600,13 +1537,7 @@ mod tests {
             watchdog_cycles: 100_000,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert!(
             matches!(report.detected, Some(DetectReason::Watchdog { .. })),
@@ -1626,13 +1557,7 @@ mod tests {
             degrade_overflows: 4,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert!(report.degraded, "sustained NCRT pressure must downgrade");
         assert!(report.recovered(), "degradation is graceful: {report:?}");
@@ -1644,13 +1569,7 @@ mod tests {
     #[test]
     fn zero_rate_plan_matches_plain_run_exactly() {
         let clean = run(CoherenceMode::Raccd);
-        let idle = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            FaultPlan::default(),
-            None,
-        );
+        let idle = run_faulty(FaultPlan::default());
         assert_eq!(idle.stats, clean.stats, "zero-fault config is neutral");
         assert_eq!(mem_words(&idle), mem_words(&clean));
         let report = idle.fault.expect("plane attached");

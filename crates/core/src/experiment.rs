@@ -25,8 +25,7 @@
 //! ```
 
 use crate::census::CensusSummary;
-use crate::driver::DriverOutput;
-use crate::engine::{run_program_engine, run_program_engine_profiled, Engine};
+use crate::driver::{Driver, DriverOutput};
 use crate::mode::CoherenceMode;
 use raccd_obs::Recorder;
 use raccd_prof::ProfReport;
@@ -40,8 +39,6 @@ pub struct Experiment {
     pub config: MachineConfig,
     /// System under evaluation.
     pub mode: CoherenceMode,
-    /// Simulation engine advancing the run (default [`Engine::Serial`]).
-    pub engine: Engine,
 }
 
 /// Results of an [`Experiment::run`].
@@ -66,19 +63,7 @@ pub struct RunResult {
 impl Experiment {
     /// Describe an experiment.
     pub fn new(config: MachineConfig, mode: CoherenceMode) -> Self {
-        Experiment {
-            config,
-            mode,
-            engine: Engine::Serial,
-        }
-    }
-
-    /// Select the simulation engine. Any engine produces bit-identical
-    /// results; [`Engine::EpochParallel`] trades coordinator work for
-    /// concurrent hit-prefix speculation.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
+        Experiment { config, mode }
     }
 
     /// Build the workload's program, simulate it, and verify the output.
@@ -92,10 +77,11 @@ impl Experiment {
     pub fn run_with_recorder(
         &self,
         workload: &dyn Workload,
-        rec: Option<&mut Recorder>,
+        mut rec: Option<&mut Recorder>,
     ) -> RunResult {
         let program = workload.build();
-        let out = run_program_engine(self.config, self.mode, program, self.engine, rec);
+        let out =
+            Driver::new(self.config, self.mode, program, None, rec.as_deref_mut()).finish(rec);
         Self::finish_run(workload, out)
     }
 
@@ -103,9 +89,9 @@ impl Experiment {
     /// `prof` holds the span table. The simulated outcome is bit-identical
     /// to an unprofiled run (the profiler reads only host clocks).
     pub fn run_profiled(&self, workload: &dyn Workload) -> RunResult {
-        let program = workload.build();
-        let out = run_program_engine_profiled(self.config, self.mode, program, self.engine, None);
-        Self::finish_run(workload, out)
+        let mut driver = Driver::new(self.config, self.mode, workload.build(), None, None);
+        driver.attach_prof();
+        Self::finish_run(workload, driver.finish(None))
     }
 
     fn finish_run(workload: &dyn Workload, out: DriverOutput) -> RunResult {

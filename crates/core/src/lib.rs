@@ -16,14 +16,10 @@
 //! * [`driver`] — the simulation loop: scheduling, `raccd_register`, task
 //!   execution (functional-at-dispatch, timed replay under interleaving),
 //!   `raccd_invalidate`, wake-up (Figure 3).
-//! * [`engine`] — the selectable simulation loop: the serial oracle and
-//!   the epoch-parallel engine (speculative hit prefixes committed in heap
-//!   order, bit-identical to serial for any thread count; DESIGN.md §12).
 //! * [`experiment`] — the top-level [`Experiment`] API and [`RunResult`].
 
 pub mod census;
 pub mod driver;
-pub mod engine;
 pub mod experiment;
 pub mod mode;
 pub mod ncrt;
@@ -32,11 +28,7 @@ pub mod resilience;
 pub mod tlbclass;
 
 pub use census::{Census, CensusSummary};
-pub use driver::{Driver, DriverOutput, RollbackPolicy};
-pub use engine::{
-    plan_epoch, run_program_engine, run_program_engine_profiled, Engine, PlanTurn, SupervisedEnd,
-    WorkerPool,
-};
+pub use driver::{Driver, DriverOutput, RollbackPolicy, SupervisedEnd};
 pub use experiment::{Experiment, RunResult};
 pub use mode::CoherenceMode;
 pub use ncrt::Ncrt;

@@ -74,19 +74,11 @@ pub enum Site {
     /// Snapshot revival: decoding RSNP sections back into live state
     /// (`units` = decoded payload bytes).
     SnapDecode,
-    /// Epoch-parallel engine: the barrier where the coordinator waits for
-    /// every worker's speculated hit prefix (`units` = references
-    /// speculated across the epoch).
-    EpochBarrier,
-    /// Epoch-parallel engine: adopting one speculated shard and replaying
-    /// its deferred side effects (checker events, census, histograms)
-    /// during commit (`units` = references committed from speculation).
-    EpochMerge,
 }
 
 impl Site {
     /// Every site, in table order.
-    pub const ALL: [Site; 16] = [
+    pub const ALL: [Site; 14] = [
         Site::Step,
         Site::Schedule,
         Site::TaskBody,
@@ -101,8 +93,6 @@ impl Site {
         Site::ShadowCheck,
         Site::SnapEncode,
         Site::SnapDecode,
-        Site::EpochBarrier,
-        Site::EpochMerge,
     ];
 
     /// Number of sites in the registry.
@@ -125,8 +115,6 @@ impl Site {
             Site::ShadowCheck => "check/shadow",
             Site::SnapEncode => "snap/encode",
             Site::SnapDecode => "snap/decode",
-            Site::EpochBarrier => "engine/epoch_barrier",
-            Site::EpochMerge => "engine/epoch_merge",
         }
     }
 
@@ -148,9 +136,6 @@ impl Site {
             | Site::NcInvalidate
             | Site::MemRef => Some(Site::Step),
             Site::TlbWalk | Site::CacheLookup | Site::MissFill => Some(Site::MemRef),
-            // EpochMerge happens inside a committing Step, but a Step may
-            // also run with no merge at all, and EpochBarrier lies outside
-            // any Step — both stay roots like ShadowCheck.
             _ => None,
         }
     }
@@ -166,7 +151,6 @@ impl Site {
     pub const fn unit(self) -> Option<&'static str> {
         match self {
             Site::SnapEncode | Site::SnapDecode => Some("bytes"),
-            Site::EpochBarrier | Site::EpochMerge => Some("refs"),
             _ => None,
         }
     }

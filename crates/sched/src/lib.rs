@@ -146,8 +146,8 @@ impl SchedParams {
 /// The driver calls `push(ctx, task)` with the *waker's* context (or a
 /// round-robin seed for initially-ready tasks) and `pop(ctx)` with the
 /// context looking for work. All state is deterministic: no policy
-/// consults wall-clock time or OS identity, so serial and epoch-parallel
-/// executions observe identical pop sequences.
+/// consults wall-clock time or OS identity, so identical runs observe
+/// identical pop sequences.
 pub trait Scheduler: Send {
     /// The registry tag of this policy.
     fn kind(&self) -> SchedKind;

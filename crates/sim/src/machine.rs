@@ -175,20 +175,6 @@ struct CoreSlice {
     l1: L1Cache,
 }
 
-/// A clone of one core's private state (TLB + L1), detachable from the
-/// machine so the epoch-parallel engine can speculate a turn's hit prefix
-/// off-thread without touching shared structures. Adopting the shard back
-/// (see [`Machine::adopt_core_shard`]) is bit-identical to having replayed
-/// the same hits in place, because private-cache hits mutate nothing
-/// outside the core slice.
-#[derive(Clone)]
-pub struct CoreShard {
-    /// The core's TLB.
-    pub tlb: Tlb,
-    /// The core's private L1.
-    pub l1: L1Cache,
-}
-
 /// The simulated machine.
 pub struct Machine {
     /// Configuration in force.
@@ -227,15 +213,6 @@ pub struct Machine {
     /// never simulated state, so a profiled run is bit-identical to an
     /// unprofiled one. Never serialized into snapshots.
     prof: Option<Box<Prof>>,
-    /// Transient per-core "externally touched" bitmask for the
-    /// epoch-parallel engine: set whenever a core's private state (L1 or
-    /// TLB) is mutated by a protocol action (invalidation, downgrade,
-    /// flush, classifier shootdown) rather than by the core's own hit
-    /// path. A speculated hit prefix for a core is only committed when
-    /// this bit stayed clear since the epoch was planned; otherwise the
-    /// turn is replayed serially. Never serialized (speculation state is
-    /// re-derived after restore).
-    spec_touch: u64,
 }
 
 impl Machine {
@@ -309,7 +286,6 @@ impl Machine {
             checker: None,
             faults: None,
             prof: None,
-            spec_touch: 0,
         };
         if m.cfg.shadow_collect {
             m.checker = Some(Box::new(ShadowChecker::collecting(&m.cfg)));
@@ -419,63 +395,6 @@ impl Machine {
     /// NCRT storms, task failures/stragglers).
     pub fn faults_mut(&mut self) -> Option<&mut FaultPlane> {
         self.faults.as_deref_mut()
-    }
-
-    /// Clone a core's private state (TLB + L1) into a detachable
-    /// [`CoreShard`] for off-thread hit-prefix speculation.
-    pub fn core_shard(&self, core: usize) -> CoreShard {
-        CoreShard {
-            tlb: self.cores[core].tlb.clone(),
-            l1: self.cores[core].l1.clone(),
-        }
-    }
-
-    /// Replace a core's private state with a speculated shard. Only sound
-    /// when [`Machine::spec_touched`] stayed `false` for `core` since the
-    /// shard was cloned — the epoch-parallel engine checks this before
-    /// every adoption.
-    pub fn adopt_core_shard(&mut self, core: usize, shard: CoreShard) {
-        self.cores[core].tlb = shard.tlb;
-        self.cores[core].l1 = shard.l1;
-    }
-
-    /// Mark a core's private state as mutated by a protocol action (not by
-    /// its own in-turn hit path). Cores beyond the mask width poison every
-    /// bit, conservatively discarding all outstanding speculation.
-    #[inline]
-    fn touch_core(&mut self, core: usize) {
-        self.spec_touch |= if core < 64 { 1 << core } else { u64::MAX };
-    }
-
-    /// Whether `core`'s private state was externally mutated since the
-    /// last [`Machine::clear_spec_touch`].
-    pub fn spec_touched(&self, core: usize) -> bool {
-        if core < 64 {
-            self.spec_touch & (1 << core) != 0
-        } else {
-            self.spec_touch != 0
-        }
-    }
-
-    /// Reset the externally-touched mask (called when an epoch is planned).
-    pub fn clear_spec_touch(&mut self) {
-        self.spec_touch = 0;
-    }
-
-    /// Emit the checker event sequence of one speculated L1 hit, exactly
-    /// as the serial hit path does ([`CheckEvent::L1Hit`] then
-    /// [`CheckEvent::OpEnd`]). The epoch-parallel engine calls this while
-    /// committing a hit prefix, after adopting the speculated shard — the
-    /// shadow checker is purely event-driven, so the combined order is
-    /// bit-identical to the serial interleaving.
-    pub fn note_spec_hit(&mut self, core: usize, block: BlockAddr, write: bool, nc: bool) {
-        self.check_ev(CheckEvent::L1Hit {
-            core,
-            block,
-            write,
-            nc,
-        });
-        self.check_ev(CheckEvent::OpEnd);
     }
 
     /// Attach the self-profiler (replacing any existing one). Mirrors the
@@ -816,7 +735,6 @@ impl Machine {
     /// Direct TLB access for TLB-based classifiers (§II-B): lookup with
     /// statistics (1-cycle charge is the caller's).
     pub fn tlb_lookup(&mut self, core: usize, vpage: PageNum) -> Option<PageNum> {
-        self.touch_core(core);
         self.cores[core].tlb.lookup(vpage)
     }
 
@@ -845,14 +763,12 @@ impl Machine {
         vpage: PageNum,
         ppage: PageNum,
     ) -> Option<(PageNum, PageNum)> {
-        self.touch_core(core);
         self.cores[core].tlb.fill_evicting(vpage, ppage)
     }
 
     /// Invalidate one TLB entry (decay invalidations during TLB-to-TLB
     /// resolution, §II-B). Returns whether it was present.
     pub fn tlb_invalidate(&mut self, core: usize, vpage: PageNum) -> bool {
-        self.touch_core(core);
         self.cores[core].tlb.invalidate(vpage)
     }
 
@@ -1049,7 +965,6 @@ impl Machine {
             m &= m - 1;
             let lat = self.xmit(home, holder, MsgClass::Control, now);
             self.stats.invalidations_sent += 1;
-            self.touch_core(holder);
             let invalidated = self.cores[holder].l1.invalidate(block);
             let present = invalidated.is_some();
             let dirty = invalidated.is_some_and(|line| line.dirty());
@@ -1238,7 +1153,6 @@ impl Machine {
                     // write-back — and stays the directory owner.
                     self.stats.owner_forwards += 1;
                     cycles += self.xmit(home, o as usize, MsgClass::Control, now);
-                    self.touch_core(o as usize);
                     let dirty_now = self.cores[o as usize]
                         .l1
                         .probe(block)
@@ -1311,7 +1225,6 @@ impl Machine {
                             self.stats.owner_forwards += 1;
                             self.last_fill_from_owner = true;
                             cycles += self.xmit(home, fc, MsgClass::Control, now);
-                            self.touch_core(fc);
                             if let Some(was_dirty) =
                                 self.cores[fc].l1.downgrade_to(block, L1State::Shared)
                             {
@@ -1447,7 +1360,6 @@ impl Machine {
             m &= m - 1;
             self.xmit(home, holder, MsgClass::Control, now);
             self.stats.invalidations_sent += 1;
-            self.touch_core(holder);
             let invalidated = self.cores[holder].l1.invalidate(block);
             let present = invalidated.is_some();
             let line_dirty = invalidated.is_some_and(|line| line.dirty());
@@ -1539,7 +1451,6 @@ impl Machine {
     /// SMT-aware `raccd_invalidate`: with `tid = Some(t)` only thread `t`'s
     /// NC lines are flushed (§III-E's selective invalidation).
     pub fn flush_nc_filtered(&mut self, core: usize, tid: Option<u8>, now: u64) -> u64 {
-        self.touch_core(core);
         let mut cycles = self.cores[core].l1.num_lines() as u64;
         let flushed = match tid {
             Some(t) => self.cores[core].l1.flush_nc_thread(t),
@@ -1583,7 +1494,6 @@ impl Machine {
     /// OS-triggered flush (§II-B).
     pub fn flush_page(&mut self, core: usize, page: PageNum, vpage: PageNum, now: u64) -> u64 {
         let mut cycles = 200; // OS/IPI round trip
-        self.touch_core(core);
         let flushed = self.cores[core].l1.flush_page(page);
         self.stats.pt_flush_lines += flushed.len() as u64;
         self.cores[core].tlb.invalidate(vpage);

@@ -17,6 +17,17 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parse a [`Display`](core::fmt::Display) label (`test`, `bench`,
+    /// `paper`).
+    pub fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "test" => Some(Scale::Test),
+            "bench" => Some(Scale::Bench),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
     /// Pick one of three values by scale.
     pub fn pick<T: Copy>(self, test: T, bench: T, paper: T) -> T {
         match self {
@@ -51,5 +62,9 @@ mod tests {
     #[test]
     fn display_labels() {
         assert_eq!(Scale::Bench.to_string(), "bench");
+        for s in [Scale::Test, Scale::Bench, Scale::Paper] {
+            assert_eq!(Scale::parse(&s.to_string()), Some(s));
+        }
+        assert_eq!(Scale::parse("Bench"), None);
     }
 }

@@ -5,8 +5,8 @@
 //! actually needs to render the file: the document is valid JSON, every
 //! track's timestamps are monotone, and every `B` has a matching `E`.
 
-use raccd::core::driver::{run_program, run_program_with};
-use raccd::core::CoherenceMode;
+use raccd::core::driver::run_program;
+use raccd::core::{CoherenceMode, Driver};
 use raccd::mem::{SimMemory, VRange};
 use raccd::obs::{json, Recorder, RecorderConfig};
 use raccd::runtime::{Dep, Program, ProgramBuilder};
@@ -59,12 +59,14 @@ fn record_toy() -> (Recorder, raccd::sim::Stats) {
         sample_interval: 64,
         buffer_events: true,
     });
-    let out = run_program_with(
+    let out = Driver::new(
         tiny_machine(),
         CoherenceMode::Raccd,
         toy_program(),
+        None,
         Some(&mut rec),
-    );
+    )
+    .finish(Some(&mut rec));
     (rec, out.stats)
 }
 
@@ -173,12 +175,9 @@ fn jacobi_occupancy_series_is_nonconstant() {
         sample_interval: 4096,
         buffer_events: false,
     });
-    let out = run_program_with(
-        cfg,
-        CoherenceMode::Raccd,
-        Jacobi::new(Scale::Test).build(),
-        Some(&mut rec),
-    );
+    let program = Jacobi::new(Scale::Test).build();
+    let out = Driver::new(cfg, CoherenceMode::Raccd, program, None, Some(&mut rec))
+        .finish(Some(&mut rec));
     let occ: Vec<f64> = rec.samples().iter().map(|s| s.dir_occupancy).collect();
     assert!(
         occ.len() >= 3,
