@@ -6,8 +6,7 @@
 //!     --ledger runs/campaign.jsonl \
 //!     [--gen N | --spec "bench=Jacobi scale=test mode=raccd seeds=1..8" | --spec-file F] \
 //!     [--scale test|bench] [--workers N] [--queue-cap N] [--retries N] \
-//!     [--timeout-ms N] [--dedup-probe] [--report F] [--events F] \
-//!     [--depth-csv F] [--bench-json F]
+//!     [--timeout-ms N] [--report F] [--events F] [--depth-csv F]
 //! ```
 //!
 //! **Resume = rerun the same command.** Opening an existing ledger replays
@@ -15,21 +14,19 @@
 //! queued work, and resubmitting the same specs is absorbed by dedup — so
 //! a campaign killed anywhere finishes with zero duplicated executions and
 //! zero lost jobs (the report's reconciliation block proves it; exit code
-//! 1 if it cannot).
+//! 1 if it cannot). Bad flags, spec lines, spec files and ledger errors
+//! print a message on stderr and exit with status 2.
 //!
 //! `--gen N` expands a deterministic N-job matrix (benchmarks × {fullcoh,
 //! pt, raccd} × ratios {4, 8}, warm-started, seeds split evenly) — the CI
-//! soak and the `BENCH_8.json` throughput point both use it.
-//! `--dedup-probe` submits every spec a second time after admission; the
-//! second pass must dedup completely, which pins the fingerprint/dedup
-//! path in the perf document.
+//! soak uses it.
 
-use raccd_bench::perfjson::{git_rev, host_fingerprint, BenchDoc, PerfJob, SCHEMA_VERSION};
-use raccd_bench::{bench_names, scale_from_args};
+use raccd_bench::{bench_names, or_exit, scale_from_args};
 use raccd_campaign::{Campaign, CampaignConfig, JobSpec};
 use raccd_core::CoherenceMode;
-use raccd_obs::{write_campaign_depth_csv, write_events_jsonl, RunMetrics};
+use raccd_obs::{write_campaign_depth_csv, write_events_jsonl};
 use raccd_workloads::Scale;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Deterministic `--gen` matrix: spread `n` seeded jobs evenly over the
@@ -78,12 +75,9 @@ fn main() {
             .cloned()
     };
     let parse_or = |flag: &str, default: u64| -> u64 {
-        pick(flag)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{flag}: bad value `{v}`"))
-            })
-            .unwrap_or(default)
+        or_exit(pick(flag).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("{flag}: bad value `{v}`"))
+        }))
     };
 
     let ledger = PathBuf::from(pick("--ledger").unwrap_or_else(|| "campaign.jsonl".into()));
@@ -97,50 +91,47 @@ fn main() {
     let mut specs: Vec<JobSpec> = Vec::new();
     for (i, a) in args.iter().enumerate() {
         if a == "--spec" {
-            let line = args.get(i + 1).expect("--spec needs a value");
-            specs.push(JobSpec::parse(line).unwrap_or_else(|e| panic!("--spec: {e}")));
+            let line = or_exit(args.get(i + 1).ok_or("--spec: missing value".to_string()));
+            specs.push(or_exit(
+                JobSpec::parse(line).map_err(|e| format!("--spec: {e}")),
+            ));
         }
     }
     if let Some(f) = pick("--spec-file") {
-        let text = std::fs::read_to_string(&f).unwrap_or_else(|e| panic!("--spec-file {f}: {e}"));
+        let text =
+            or_exit(std::fs::read_to_string(&f).map_err(|e| format!("--spec-file {f}: {e}")));
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            specs.push(JobSpec::parse(line).unwrap_or_else(|e| panic!("{f}: {e}")));
+            specs.push(or_exit(
+                JobSpec::parse(line).map_err(|e| format!("{f}: {e}")),
+            ));
         }
     }
     if let Some(n) = pick("--gen") {
-        let n: u64 = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--gen: bad count `{n}`"));
+        let n: u64 = or_exit(n.parse().map_err(|_| format!("--gen: bad count `{n}`")));
         specs.extend(gen_matrix(scale, n));
     }
 
-    let campaign = Campaign::open(&ledger, config).unwrap_or_else(|e| {
-        panic!("opening ledger {}: {e}", ledger.display());
-    });
+    let campaign = or_exit(
+        Campaign::open(&ledger, config)
+            .map_err(|e| format!("opening ledger {}: {e}", ledger.display())),
+    );
 
     let mut admitted = 0u64;
     let mut deduped = 0u64;
     let mut shed = 0u64;
-    let mut submit = |spec: &JobSpec| {
-        let s = campaign
-            .submit(spec)
-            .unwrap_or_else(|e| panic!("submit {}: {e}", spec.render()));
+    for spec in &specs {
+        let s = or_exit(
+            campaign
+                .submit(spec)
+                .map_err(|e| format!("submit {}: {e}", spec.render())),
+        );
         admitted += s.admitted;
         deduped += s.deduped;
         shed += s.shed;
-    };
-    for spec in &specs {
-        submit(spec);
-    }
-    if args.iter().any(|a| a == "--dedup-probe") {
-        // Second pass over the same batch: everything must dedup.
-        for spec in &specs {
-            submit(spec);
-        }
     }
     eprintln!(
         "campaign: {} admitted, {} deduped, {} shed (ledger {})",
@@ -150,77 +141,34 @@ fn main() {
         ledger.display()
     );
 
-    let report = campaign
-        .run()
-        .unwrap_or_else(|e| panic!("campaign run: {e}"));
+    let report = or_exit(campaign.run().map_err(|e| format!("campaign run: {e}")));
     println!("{}", report.to_json());
     if let Some(p) = pick("--report") {
-        std::fs::write(&p, report.to_json() + "\n")
-            .unwrap_or_else(|e| panic!("writing report {p}: {e}"));
-    }
-    if let Some(p) = pick("--events") {
-        let mut w = std::io::BufWriter::new(
-            std::fs::File::create(&p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
+        or_exit(
+            std::fs::write(&p, report.to_json() + "\n")
+                .map_err(|e| format!("writing report {p}: {e}")),
         );
-        write_events_jsonl(&[], &campaign.events(), &mut w)
-            .unwrap_or_else(|e| panic!("writing events {p}: {e}"));
+    }
+    let create = |p: &str| {
+        std::io::BufWriter::new(or_exit(
+            std::fs::File::create(p).map_err(|e| format!("creating {p}: {e}")),
+        ))
+    };
+    if let Some(p) = pick("--events") {
+        let mut w = create(&p);
+        or_exit(
+            write_events_jsonl(&[], &campaign.events(), &mut w)
+                .and_then(|()| w.flush())
+                .map_err(|e| format!("writing events {p}: {e}")),
+        );
     }
     if let Some(p) = pick("--depth-csv") {
-        let mut w = std::io::BufWriter::new(
-            std::fs::File::create(&p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
+        let mut w = create(&p);
+        or_exit(
+            write_campaign_depth_csv(&campaign.events(), &mut w)
+                .and_then(|()| w.flush())
+                .map_err(|e| format!("writing depth csv {p}: {e}")),
         );
-        write_campaign_depth_csv(&campaign.events(), &mut w)
-            .unwrap_or_else(|e| panic!("writing depth csv {p}: {e}"));
-    }
-
-    if let Some(p) = pick("--bench-json") {
-        let results = campaign.results();
-        let total_cycles: u64 = results.iter().map(|(_, d)| d.cycles).sum();
-        let total_tasks: u64 = results.iter().map(|(_, d)| d.tasks).sum();
-        let wall = (report.elapsed_ms as f64 / 1000.0).max(1e-9);
-        let (host, ncpu) = host_fingerprint();
-        let metric = |name: &str, wall_seconds: f64, sim_cycles: u64, tasks: u64| RunMetrics {
-            name: name.to_string(),
-            wall_seconds,
-            sim_cycles,
-            tasks_executed: tasks,
-            ..RunMetrics::default()
-        };
-        let job = |name: &str, m: RunMetrics| PerfJob {
-            name: name.to_string(),
-            workload: "campaign".to_string(),
-            mode: "mixed".to_string(),
-            profiled: false,
-            reps: 1,
-            metrics: m,
-        };
-        let doc = BenchDoc {
-            schema_version: SCHEMA_VERSION,
-            git_rev: git_rev(std::path::Path::new(".")),
-            host,
-            ncpu,
-            scale: format!("{scale}"),
-            reps: 1,
-            prof_overhead_pct: 0.0,
-            jobs: vec![
-                // Campaign throughput: simulated cycles completed per
-                // wall-second across the whole run (pool + warm starts).
-                job(
-                    "campaign/throughput",
-                    metric("campaign/throughput", wall, total_cycles, total_tasks),
-                ),
-                // Dedup probe: `cycles_per_sec` is the raw dedup-hit count
-                // over a 1 s denominator — a fingerprint or dedup
-                // regression zeroes it, which the perf gate flags.
-                job(
-                    "campaign/dedup_probe",
-                    metric("campaign/dedup_probe", 1.0, report.dedup_hits, 0),
-                ),
-            ],
-            spans: raccd_prof::ProfReport::empty(),
-        };
-        std::fs::write(&p, doc.render()).unwrap_or_else(|e| panic!("writing {p}: {e}"));
-        eprintln!("campaign: wrote perf document {p}");
     }
 
     if !report.reconcile.consistent {

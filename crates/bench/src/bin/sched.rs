@@ -1,10 +1,9 @@
-//! `sched` — per-scheduler performance trajectory point (`BENCH_10.json`).
+//! `sched` — the per-scheduler RaCCD win table and correctness gate.
 //!
 //! Runs a pinned workload pair (Jacobi + MD5) under every scheduling
 //! policy × coherence system combination (`SchedKind::ALL` × {RaCCD,
-//! FullCoh}) and emits one [`PerfJob`] per combination — the per-policy
-//! RaCCD win table. The document is `perf --compare`-compatible, so CI
-//! soft-gates it exactly like `BENCH_6.json`–`BENCH_9.json`.
+//! FullCoh}) and prints the per-policy win table on stderr: simulated
+//! cycles, task migrations, NCRT hand-offs and preemptions per cell.
 //!
 //! Every cell is also a correctness gate: each workload must verify, and
 //! every rep must reproduce the first rep's `Stats` bit for bit. On top
@@ -13,16 +12,13 @@
 //! `fifo` queue on at least one pinned workload.
 //!
 //! ```text
-//! sched [--scale test|bench|paper] [--reps N] [--out BENCH_10.json]
+//! sched [--scale test|bench|paper] [--reps N]
 //! ```
 
-use raccd_bench::perfjson::{git_rev, host_fingerprint, BenchDoc, PerfJob, SCHEMA_VERSION};
+use raccd_bench::config_for_scale;
 use raccd_core::{CoherenceMode, Experiment};
-use raccd_obs::RunMetrics;
-use raccd_prof::ProfReport;
-use raccd_sim::{MachineConfig, SchedKind, Stats};
+use raccd_sim::{SchedKind, Stats};
 use raccd_workloads::{all_benchmarks, Scale};
-use std::time::Instant;
 
 /// Pinned workload subset: indices into [`all_benchmarks`] (Jacobi — a
 /// stencil whose dependents fan out across cores, MD5 — a streaming
@@ -39,9 +35,11 @@ fn main() {
     });
 }
 
-/// Per-workload migration/hand-off counts of one (policy, mode) cell,
-/// used for the locality gate and the stderr win table.
-struct CellChurn {
+/// One (policy, mode) cell: summed simulated cycles plus per-workload
+/// migration/hand-off counts, used for the locality gate and the stderr
+/// win table.
+struct Cell {
+    cycles: u64,
     task_migrations: Vec<u64>,
     ncrt_migrations: Vec<u64>,
     preemptions: u64,
@@ -51,7 +49,6 @@ fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Test;
     let mut reps: usize = 3;
-    let mut out = "BENCH_10.json".to_string();
     let mut i = 0;
     while i < argv.len() {
         let value = |i: usize, flag: &str| -> Result<String, String> {
@@ -72,39 +69,35 @@ fn run() -> Result<(), String> {
                     return Err("--reps must be >= 1".into());
                 }
             }
-            "--out" => out = value(i, "--out")?,
             other => return Err(format!("unknown argument {other:?}")),
         }
         i += 2;
     }
 
     let modes = [CoherenceMode::Raccd, CoherenceMode::FullCoh];
-    let cells = SchedKind::ALL.len() * modes.len();
+    let ncells = SchedKind::ALL.len() * modes.len();
     eprintln!(
         "sched: {} policy x mode cells, {} workloads each, {} rep(s), scale {scale}",
-        cells,
+        ncells,
         WORKLOADS.len(),
         reps,
     );
 
-    let mut jobs = Vec::with_capacity(cells);
-    let mut churn = Vec::with_capacity(cells);
+    let mut cells = Vec::with_capacity(ncells);
     for sched in SchedKind::ALL {
         for mode in modes {
-            let (job, c) = run_cell(scale, sched, mode, reps)?;
-            jobs.push(job);
-            churn.push((sched, mode, c));
+            cells.push((sched, mode, run_cell(scale, sched, mode, reps)?));
         }
     }
 
     // The win table: policy rows, per-mode cycles plus migration churn.
     eprintln!("sched: policy        mode     cycles       migrations  ncrt_handoffs  preemptions");
-    for ((sched, mode, c), job) in churn.iter().zip(&jobs) {
+    for (sched, mode, c) in &cells {
         eprintln!(
             "sched: {:<13} {:<8} {:<12} {:<11} {:<14} {}",
             sched.label(),
             mode.label().to_ascii_lowercase(),
-            job.metrics.sim_cycles,
+            c.cycles,
             c.task_migrations.iter().sum::<u64>(),
             c.ncrt_migrations.iter().sum::<u64>(),
             c.preemptions,
@@ -115,7 +108,7 @@ fn run() -> Result<(), String> {
     // locality policy must migrate fewer tasks — and re-register fewer
     // NCRTs under RaCCD — than the central FIFO queue.
     let find = |kind: SchedKind, mode: CoherenceMode| {
-        churn
+        cells
             .iter()
             .find(|(s, m, _)| *s == kind && *m == mode)
             .map(|(_, _, c)| c)
@@ -140,33 +133,18 @@ fn run() -> Result<(), String> {
             loc.task_migrations, fifo.task_migrations, loc.ncrt_migrations, fifo.ncrt_migrations
         ));
     }
-
-    let (host, ncpu) = host_fingerprint();
-    let doc = BenchDoc {
-        schema_version: SCHEMA_VERSION,
-        git_rev: git_rev(std::path::Path::new(".")),
-        host,
-        ncpu,
-        scale: format!("{scale}"),
-        reps: reps as u64,
-        prof_overhead_pct: 0.0,
-        jobs,
-        spans: ProfReport::empty(),
-    };
-    std::fs::write(&out, doc.render()).map_err(|e| format!("writing {out}: {e}"))?;
-    eprintln!("sched: wrote {out} ({} jobs)", doc.jobs.len());
     Ok(())
 }
 
-/// One policy × mode cell: every pinned workload, stats summed, wall
-/// summed; the median rep becomes the trajectory job.
+/// One policy × mode cell: every pinned workload, stats summed; every
+/// rep must reproduce the first rep's sum.
 fn run_cell(
     scale: Scale,
     sched: SchedKind,
     mode: CoherenceMode,
     reps: usize,
-) -> Result<(PerfJob, CellChurn), String> {
-    let cfg = base_config(scale).with_sched(sched);
+) -> Result<Cell, String> {
+    let cfg = config_for_scale(scale).with_sched(sched);
     let name = format!(
         "sched/{}@{}",
         sched.label(),
@@ -174,15 +152,15 @@ fn run_cell(
     );
     let workloads = all_benchmarks(scale);
 
-    let mut rep_results: Vec<(f64, Stats)> = Vec::with_capacity(reps);
-    let mut churn = CellChurn {
+    let mut rep_stats: Vec<Stats> = Vec::with_capacity(reps);
+    let mut cell = Cell {
+        cycles: 0,
         task_migrations: Vec::new(),
         ncrt_migrations: Vec::new(),
         preemptions: 0,
     };
     for rep in 0..reps {
         let mut sum = Stats::default();
-        let t0 = Instant::now();
         for &bench_idx in &WORKLOADS {
             let w = workloads[bench_idx].as_ref();
             let run = Experiment::new(cfg, mode).run(w);
@@ -194,46 +172,21 @@ fn run_cell(
                 ));
             }
             if rep == 0 {
-                churn.task_migrations.push(run.stats.task_migrations);
-                churn.ncrt_migrations.push(run.stats.ncrt_migrations);
-                churn.preemptions += run.stats.preemptions;
+                cell.task_migrations.push(run.stats.task_migrations);
+                cell.ncrt_migrations.push(run.stats.ncrt_migrations);
+                cell.preemptions += run.stats.preemptions;
             }
             sum.cycles += run.stats.cycles;
             sum.refs_processed += run.stats.refs_processed;
             sum.noc_traffic += run.stats.noc_traffic;
             sum.tasks_executed += run.stats.tasks_executed;
         }
-        rep_results.push((t0.elapsed().as_secs_f64(), sum));
+        rep_stats.push(sum);
     }
 
-    // Determinism across reps, then take the median-wall rep.
-    for (_, stats) in &rep_results[1..] {
-        if *stats != rep_results[0].1 {
-            return Err(format!("{name}: non-deterministic Stats across reps"));
-        }
+    if rep_stats[1..].iter().any(|s| *s != rep_stats[0]) {
+        return Err(format!("{name}: non-deterministic Stats across reps"));
     }
-    let mut order: Vec<usize> = (0..reps).collect();
-    order.sort_by(|&a, &b| rep_results[a].0.total_cmp(&rep_results[b].0));
-    let (wall, ref stats) = rep_results[order[reps / 2]];
-
-    eprintln!(
-        "sched: {name:<24} wall {wall:.3}s ({} simulated cycles/s)",
-        raccd_prof::fmt_si(stats.cycles as f64 / wall.max(1e-12)),
-    );
-    let job = PerfJob {
-        name: name.clone(),
-        workload: "jacobi+md5".to_string(),
-        mode: mode.label().to_ascii_lowercase(),
-        profiled: false,
-        reps: reps as u64,
-        metrics: RunMetrics::from_stats(&name, stats, wall),
-    };
-    Ok((job, churn))
-}
-
-fn base_config(scale: Scale) -> MachineConfig {
-    match scale {
-        Scale::Paper => MachineConfig::paper(),
-        _ => MachineConfig::scaled(),
-    }
+    cell.cycles = rep_stats[0].cycles;
+    Ok(cell)
 }

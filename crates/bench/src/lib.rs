@@ -12,7 +12,6 @@
 //! panic in the collector.
 
 pub mod chart;
-pub mod perfjson;
 
 use raccd_campaign::{PoolTask, WorkerPool};
 use raccd_core::{CoherenceMode, Experiment, RunResult};
@@ -344,7 +343,7 @@ fn flag<T>(
 
 /// Unwrap a CLI parse result, or print the error on stderr and exit with
 /// status 2 (bad usage).
-fn or_exit<T>(r: Result<T, String>) -> T {
+pub fn or_exit<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)

@@ -2,7 +2,8 @@
 //!
 //! Every coherence protocol ({MESI, MESIF, MOESI}) on every NoC topology
 //! ({mesh, numa2}) must run real workloads clean under the fail-fast
-//! shadow checker, and the variants must actually differ: the protocols
+//! shadow checker — a stencil (Jacobi), a scatter (Histo) and a streaming
+//! kernel (MD5) — and the variants must actually differ: the protocols
 //! route a sharing workload differently, and `numa2` makes the
 //! inter-socket link visible in cycles.
 
@@ -10,7 +11,7 @@ use raccd_core::driver::run_program;
 use raccd_core::CoherenceMode;
 use raccd_runtime::Workload;
 use raccd_sim::{MachineConfig, ProtocolKind, Topology};
-use raccd_workloads::{histo::Histo, jacobi::Jacobi, Scale};
+use raccd_workloads::{histo::Histo, jacobi::Jacobi, md5::Md5Bench, Scale};
 
 /// Tiny shadow-checked machine: 2×2 mesh per socket, so `numa2` runs
 /// eight cores split across the inter-socket link.
@@ -30,6 +31,7 @@ fn workloads() -> Vec<Box<dyn Workload>> {
             ..Jacobi::new(Scale::Test)
         }),
         Box::new(Histo::new(Scale::Test)),
+        Box::new(Md5Bench::new(Scale::Test)),
     ]
 }
 
@@ -53,6 +55,25 @@ fn every_protocol_and_topology_runs_shadow_clean() {
                         panic!("{} {protocol}@{topology} under {mode}: {e}", w.name())
                     });
                 }
+            }
+        }
+    }
+}
+
+/// Every protocol × topology cell reproduces its `Stats` bit for bit
+/// when run twice.
+#[test]
+fn every_protocol_and_topology_is_deterministic() {
+    for protocol in ProtocolKind::ALL {
+        for topology in Topology::ALL {
+            for w in workloads() {
+                let run = || run_program(tiny(protocol, topology), CoherenceMode::Raccd, w.build());
+                assert_eq!(
+                    run().stats,
+                    run().stats,
+                    "{} {protocol}@{topology}: non-deterministic Stats",
+                    w.name()
+                );
             }
         }
     }

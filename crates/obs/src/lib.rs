@@ -43,6 +43,6 @@ pub use export::{
     write_events_jsonl, write_histograms, write_series_csv, JsonlSink,
 };
 pub use hist::Log2Hist;
-pub use metrics::{peak_rss_bytes, render_table as render_metrics_table, RunMetrics};
+pub use metrics::{peak_rss_bytes, RunMetrics};
 pub use recorder::{Recorder, RecorderConfig};
 pub use sampler::{Gauges, IntervalSampler, Sample};
